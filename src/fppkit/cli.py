@@ -103,8 +103,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--trials", type=int, default=None)
     ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers over the n grid (deterministic merge)")
+                    help="parallel workers over the n grid of deficiency, gap and "
+                         "large-edges (deterministic merge)")
     args = ap.parse_args(argv)
+    if args.jobs > 1 and args.experiment not in ("deficiency", "gap", "large-edges"):
+        ap.error(f"{args.experiment} runs in one process; --jobs {args.jobs} is honoured "
+                 "only by deficiency, gap and large-edges")
 
     cfg = load_config(args.config)
     spec = spec_from_config(cfg)
@@ -196,10 +200,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "modify-demo":
         pattern = build_pattern(cfg["pattern"], cfg.get("pattern_params", {}), spec, d)
         radii = tuple(int(r) for r in cfg.get("radii", (2, 6, 10)))
+        delta = cfg.get("delta")
+        try:
+            delta = None if delta is None else float(delta)
+        except (TypeError, ValueError):
+            raise SystemExit(f"config key 'delta' must be a number, got {delta!r}") from None
         insts, summary = X.run_modification_demo_unbounded(
             spec, pattern, int(cfg.get("instances", 20)), seed,
             N=int(cfg.get("N", 4)), radii=radii, d=d,
-            delta=cfg.get("delta"), cap=cap,
+            delta=delta, cap=cap,
         )
         rows = [
             dict(experiment="modify_demo", instance=i, seed=inst.seed,

@@ -16,14 +16,12 @@ import numpy as np
 from .distributions import DistributionSpec
 from .fields import sample_conditioned
 from .geodesics import (
+    GeodesicDag,
     NormEstimate,
     RegionGraph,
     dijkstra,
-    enumerate_geodesics,
     estimate_time_constant,
-    extreme_length_geodesics,
     first_lex_geodesic,
-    restricted_geodesic_time,
 )
 from .lattice import LatticePath, ProductBox, Vertex, l1, region_edges, vscale
 from .modification import (
@@ -59,18 +57,12 @@ def _geodesic_panel(
     y: Vertex,
     cap: int,
 ) -> tuple[list[LatticePath], bool, float]:
-    """Enumerated geodesics (first-lex and both extremal-length witnesses
-    always included) plus the truncation flag and the optimum."""
-    f = graph.field_from(w)
-    gs = enumerate_geodesics(x, y, f, graph=graph, cap=cap)
-    paths = list(gs.paths)
-    have = set(paths)
-    lex = first_lex_geodesic(x, y, f, graph=graph)
-    ext = extreme_length_geodesics(x, y, f, graph=graph)
-    for extra in (lex, ext.witness_min, ext.witness_max):
-        if extra not in have:
-            paths.append(extra)
-            have.add(extra)
+    """Enumerated geodesics (both extremal-length witnesses, the shorter of
+    them the first-lex geodesic, always included) plus the truncation flag
+    and the optimum, all from one engine (two Dijkstra runs)."""
+    dag = GeodesicDag.between(graph, w, x, y)
+    gs, ext = dag.geodesics(cap), dag.extremes()
+    paths = list(dict.fromkeys([*gs.paths, ext.witness_min, ext.witness_max]))
     return paths, gs.truncated, gs.time
 
 
@@ -179,8 +171,7 @@ def run_gap(
         for kk in range(trials):
             s = derive_seed(seed, "gap", n, kk)
             w = graph.sample_weights(spec, s)
-            f = graph.field_from(w)
-            ext = extreme_length_geodesics(x, y, f, graph=graph)
+            ext = GeodesicDag.between(graph, w, x, y).extremes()
             rows.append(
                 dict(experiment="gap", n=n, trial=kk, seed=s, lmin=ext.lmin,
                      lmax=ext.lmax, gap=ext.gap, approx=int(not ext.exact))
@@ -224,9 +215,8 @@ def run_shift_concavity(
     for k in range(trials):
         s = derive_seed(seed, "shift", n, k)
         w = graph.sample_weights(spec, s)
-        f = graph.field_from(w)
-        t0, _ = restricted_geodesic_time(x, y, f, graph=graph)
-        ext = extreme_length_geodesics(x, y, f, graph=graph)
+        dag = GeodesicDag.between(graph, w, x, y)
+        t0, ext = dag.time, dag.extremes()
         for b in b_list:
             tb = float(dijkstra(graph, w - b, graph.vindex[x])[graph.vindex[y]])
             bound = t0 - b * ext.lmax

@@ -1,22 +1,30 @@
-"""Passage times, geodesic DAGs, enumeration, and extremal-length geodesics.
+"""Passage times and the tight-DAG engine behind every geodesic query.
 
-The restricted geodesic time between two vertices of a finite region is
-computed by Dijkstra over the region's edge graph (weights are nonnegative,
-zero atoms included, so label setting is exact).  All geodesics between x
-and y live on the admissible arcs (u -> v) with
+Restricted geodesic times come from Dijkstra over the region's edge graph
+(weights are nonnegative, zero atoms included, so label setting is exact).
+It stays on heapq: with numpy loaded, importing scipy.sparse.csgraph alone
+takes 0.25 s or more, about three times the whole import of the `fpp` CLI.
+
+`GeodesicDag` is built once per (graph, weights, x, y) and every geodesic
+query reads from it.  All geodesics x -> y live on the admissible arcs
 
     dist_x(u) + T(u,v) + dist_y(v) = t(x, y),
 
-and every prefix of an optimal self-avoiding path is itself optimal, so a
-depth-first traversal of admissible arcs with a visited set enumerates all
-self-avoiding geodesics exactly once.
+and all geodesics from x on the single-source tight arcs, dist_x(u) +
+T(u,v) = dist_x(v).  `_close` decides both, vectorised over the region
+graph's arc table, with the one tolerance REL_TOL relative to
+max(1, |a|, |b|).  Every prefix of an optimal self-avoiding path is itself
+optimal, so one depth-first walk of admissible arcs with a visited set
+meets each self-avoiding geodesic once; it serves enumeration and, when
+zero-weight cycles appear, the longest-geodesic search.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +80,6 @@ class RegionGraph:
                 rank[(nb, eid)] = dirs.index(step)
             adj[i].sort(key=rank.__getitem__)
         self.adjacency = adj
-        self.eindex: dict[Edge, int] = {e: k for k, e in enumerate(self.edges)}
         self._boundary: frozenset[int] | None = None
 
     @property
@@ -97,6 +104,16 @@ class RegionGraph:
     def field_from(self, w: np.ndarray, seed: int = -1, label: str = "") -> WeightField:
         return WeightField(self.region, dict(zip(self.edges, w.tolist())), seed, label)
 
+    @cached_property
+    def arc_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every directed arc as (tail, head, edge id) arrays, grouped by
+        tail in `adjacency` (direction) order; built on first use."""
+        adj, count = self.adjacency, 2 * len(self.edges)
+        tail = np.repeat(np.arange(self.n), [len(a) for a in adj])
+        head = np.fromiter((v for a in adj for v, _ in a), np.intp, count)
+        edge = np.fromiter((e for a in adj for _, e in a), np.intp, count)
+        return tail, head, edge
+
 
 def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
     """Distance labels from a source index; unreachable stays +inf."""
@@ -118,14 +135,48 @@ def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
     return dist
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tight-arc test, elementwise: a and b are finite and agree to
+    REL_TOL relative to max(1, |a|, |b|)."""
+    with np.errstate(invalid="ignore"):  # inf - inf on unreachable vertices
+        gap = np.abs(a - b)
+    return np.isfinite(gap) & (gap <= REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+
+
+def _arc_lists(graph: RegionGraph, mask: np.ndarray, backward: bool = False) -> list[list[tuple[int, int]]]:
+    """Per vertex u, the (v, edge id) of each masked table arc u -> v (or
+    v -> u when backward), in table order."""
+    tail, head, edge = graph.arc_table
+    if backward:
+        tail, head = head, tail
+    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for u, v, e in zip(tail[mask].tolist(), head[mask].tolist(), edge[mask].tolist()):
+        out[u].append((v, e))
+    return out
+
+
 @dataclass
 class GeodesicDag:
-    """Distance labels plus the tight-arc structure from one source."""
+    """The tight digraph of one weight array from `source` and, when a
+    target is set, between the two.  Everything beyond `dist` (the labels
+    from the source) is built on first use."""
 
     graph: RegionGraph
     weights: np.ndarray
     source: Vertex
     dist: np.ndarray
+    target: Vertex | None = None
+
+    @classmethod
+    def between(cls, graph: RegionGraph, weights: np.ndarray, x: Vertex, y: Vertex) -> GeodesicDag:
+        """The engine for x -> y, after one Dijkstra run from x."""
+        x, y = tuple(x), tuple(y)
+        if x not in graph.vindex or y not in graph.vindex:
+            raise ValueError("endpoints must lie in the region")
+        dag = cls(graph, weights, x, dijkstra(graph, weights, graph.vindex[x]), y)
+        if not math.isfinite(dag.time):
+            raise Disconnected(f"{x} and {y} are disconnected inside the region")
+        return dag
 
     @property
     def region(self) -> Region:
@@ -134,18 +185,170 @@ class GeodesicDag:
     def dist_at(self, v: Vertex) -> float:
         return float(self.dist[self.graph.vindex[v]])
 
+    @property
+    def time(self) -> float:
+        return self.dist_at(self.target)
+
+    @cached_property
+    def dist_y(self) -> np.ndarray:
+        return dijkstra(self.graph, self.weights, self.graph.vindex[self.target])
+
+    @cached_property
+    def _source_tight(self) -> np.ndarray:
+        tail, head, edge = self.graph.arc_table
+        # the table arc v -> u, read backwards, is the arc u -> v
+        return _close(self.dist[head] + self.weights[edge], self.dist[tail])
+
+    @cached_property
+    def parents(self) -> list[list[tuple[int, int]]]:
+        """Single-source tight arcs into each vertex v: the (u, edge id)
+        with dist(u) + T(u,v) = dist(v), in v's direction order."""
+        return _arc_lists(self.graph, self._source_tight)
+
+    @cached_property
+    def children(self) -> list[list[tuple[int, int]]]:
+        """The same arcs listed at their tail u, as (v, edge id)."""
+        return _arc_lists(self.graph, self._source_tight, backward=True)
+
     def tight_edges(self) -> set[tuple[Vertex, Vertex]]:
         """Directed arcs (u, v) with dist(v) = dist(u) + T({u,v})."""
-        g = self.graph
-        out = set()
-        for eid, (a, b) in enumerate(g.edges):
-            i, j = g.vindex[a], g.vindex[b]
-            for u, v in ((i, j), (j, i)):
-                if math.isfinite(self.dist[u]) and _close(
-                    self.dist[u] + self.weights[eid], self.dist[v]
-                ):
-                    out.add((g.vertices[u], g.vertices[v]))
-        return out
+        vs = self.graph.vertices
+        return {(vs[u], vs[v]) for u, out in enumerate(self.children) for v, _ in out}
+
+    @cached_property
+    def _admissible(self) -> np.ndarray:
+        tail, head, edge = self.graph.arc_table
+        return _close(self.dist[tail] + self.weights[edge] + self.dist_y[head], self.time)
+
+    @cached_property
+    def arcs(self) -> list[list[tuple[int, int]]]:
+        """Admissible arcs out of each vertex u: the (v, edge id) with
+        dist_x(u) + T(u,v) + dist_y(v) = t(x,y), in u's direction order."""
+        return _arc_lists(self.graph, self._admissible)
+
+    @cached_property
+    def _into(self) -> list[list[tuple[int, int]]]:
+        return _arc_lists(self.graph, self._admissible, backward=True)
+
+    @cached_property
+    def _edge_counts(self) -> np.ndarray:
+        """Fewest edges from each vertex to y along admissible arcs (-1: none)."""
+        yi = self.graph.vindex[self.target]
+        counts = np.full(self.graph.n, -1, dtype=np.int64)
+        counts[yi] = 0
+        queue = [yi]
+        for v in queue:  # breadth first: the list grows while it is read
+            for u, _ in self._into[v]:
+                if counts[u] < 0:
+                    counts[u] = counts[v] + 1
+                    queue.append(u)
+        return counts
+
+    def _acyclic_longest(self) -> list[int] | None:
+        """Longest x -> y path over admissible arcs, or None if they hold a
+        (zero-weight) cycle; ties go to the first arc in direction order."""
+        xi, yi = self.graph.vindex[self.source], self.graph.vindex[self.target]
+        indeg = [len(a) for a in self._into]
+        order = [] if indeg[xi] else [xi]  # Kahn's topological order
+        for u in order:
+            for v, _ in self.arcs[u]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    order.append(v)
+        if any(indeg):
+            return None
+        longest = {yi: 0}
+        for u in reversed(order):
+            if u != yi:
+                longest[u] = 1 + max(longest[v] for v, _ in self.arcs[u])
+        verts = [xi]
+        while verts[-1] != yi:
+            verts.append(max(self.arcs[verts[-1]], key=lambda a: longest[a[0]])[0])
+        return verts
+
+    def _path(self, verts: list[int]) -> LatticePath:
+        return LatticePath(self.graph.vertices[i] for i in verts)
+
+    def _walk(self, visit, node_budget: int) -> bool:
+        """Depth-first walk over the self-avoiding admissible paths from x.
+
+        Calls visit(stack) with the vertex stack at each arrival at y and
+        stops when it returns True or once more than node_budget vertices
+        have been pushed; returns whether the walk ran to completion.
+        """
+        arcs = self.arcs
+        xi, yi = self.graph.vindex[self.source], self.graph.vindex[self.target]
+        stack, iters, on_path = [xi], [0], {xi}
+        expansions = 0
+        while stack:
+            u = stack[-1]
+            if u == yi:
+                if visit(stack):
+                    return False
+                on_path.discard(stack.pop())
+                iters.pop()
+                continue
+            while iters[-1] < len(arcs[u]):
+                v, _ = arcs[u][iters[-1]]
+                iters[-1] += 1
+                if v not in on_path:
+                    expansions += 1
+                    stack.append(v)
+                    on_path.add(v)
+                    iters.append(0)
+                    break
+            else:
+                on_path.discard(stack.pop())
+                iters.pop()
+            if expansions > node_budget:
+                return False
+        return True
+
+    def geodesics(self, cap: int = DEFAULT_PATH_CAP, node_budget: int = DEFAULT_NODE_BUDGET) -> GeodesicSet:
+        """The self-avoiding geodesics x -> y in depth-first direction
+        order, truncated at cap paths or node_budget pushes."""
+        x, y = self.source, self.target
+        if x == y:
+            return GeodesicSet(x, y, 0.0, [LatticePath([x])], False)
+        paths: list[LatticePath] = []
+
+        def keep(stack: list[int]) -> bool:
+            paths.append(self._path(stack))
+            return len(paths) >= cap
+
+        complete = self._walk(keep, node_budget)
+        return GeodesicSet(x, y, self.time, paths, not complete)
+
+    def first_lex(self) -> LatticePath:
+        """The first-lex geodesic; see first_lex_geodesic."""
+        counts = self._edge_counts
+        verts = [self.graph.vindex[self.source]]
+        yi = self.graph.vindex[self.target]
+        while verts[-1] != yi:
+            u = verts[-1]
+            v = next((v for v, _ in self.arcs[u] if counts[v] == counts[u] - 1), None)
+            if v is None:
+                raise AssertionError("tight DAG invariant violated")
+            verts.append(v)
+        return self._path(verts)
+
+    def extremes(self, node_budget: int = DEFAULT_NODE_BUDGET) -> ExtremalLengths:
+        """Minimal and maximal edge count over self-avoiding geodesics; see
+        extreme_length_geodesics."""
+        wmin = self.first_lex()
+        longest = self._acyclic_longest()
+        if longest is not None:
+            return ExtremalLengths(len(wmin), len(longest) - 1, wmin, self._path(longest), True)
+        best: list[int] = []
+
+        def longer(stack: list[int]) -> bool:
+            if len(stack) > len(best):
+                best[:] = stack
+            return False
+
+        exact = self._walk(longer, node_budget)
+        wmax = self._path(best) if best else wmin  # budget spent before reaching y
+        return ExtremalLengths(len(wmin), len(wmax), wmin, wmax, exact)
 
 
 @dataclass
@@ -204,18 +407,6 @@ class NormEstimate:
         n, mean, _ = rows[-1]
         return mean / l1(direction)
 
-    def as_oracle(self, mode: str = "scaled_l1"):
-        """Callable mu(y); 'scaled_l1' uses the mean direction rate."""
-        if mode != "scaled_l1":
-            raise ValueError("only the scaled_l1 oracle is implemented")
-        rates = [self.rate(u) for u in self.per_direction]
-        mean_rate = sum(rates) / len(rates)
-        return lambda y: mean_rate * l1(y)
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
-
 
 def _resolve(field: WeightField, region: Region | None, graph: RegionGraph | None):
     if graph is None:
@@ -232,6 +423,11 @@ def passage_time(path: LatticePath, f: WeightField) -> float:
         raise KeyError(f"path edge {exc} outside the field") from None
 
 
+def _dag(x: Vertex, y: Vertex, f: WeightField, region: Region | None, graph: RegionGraph | None) -> GeodesicDag:
+    graph, w = _resolve(f, region, graph)
+    return GeodesicDag.between(graph, w, x, y)
+
+
 def restricted_geodesic_time(
     x: Vertex,
     y: Vertex,
@@ -240,14 +436,8 @@ def restricted_geodesic_time(
     graph: RegionGraph | None = None,
 ) -> tuple[float, GeodesicDag]:
     """Exact optimum over paths entirely inside the region, plus its DAG."""
-    graph, w = _resolve(f, region, graph)
-    if tuple(x) not in graph.vindex or tuple(y) not in graph.vindex:
-        raise ValueError("endpoints must lie in the region")
-    dist = dijkstra(graph, w, graph.vindex[tuple(x)])
-    t = dist[graph.vindex[tuple(y)]]
-    if not math.isfinite(t):
-        raise Disconnected(f"{x} and {y} are disconnected inside the region")
-    return float(t), GeodesicDag(graph, w, tuple(x), dist)
+    dag = _dag(x, y, f, region, graph)
+    return dag.time, dag
 
 
 def geodesic_time(
@@ -282,31 +472,6 @@ def geodesic_time(
     return CertifiedTime(t, True, margin, available, dag)
 
 
-def _admissible_arcs(
-    graph: RegionGraph, w: np.ndarray, dist_x: np.ndarray, dist_y: np.ndarray, t: float
-) -> list[list[tuple[int, int]]]:
-    """Per-vertex admissible out-arcs (ordered by direction order)."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for u in range(graph.n):
-        if not math.isfinite(dist_x[u]):
-            continue
-        for v, eid in graph.adjacency[u]:
-            if math.isfinite(dist_y[v]) and _close(dist_x[u] + w[eid] + dist_y[v], t):
-                out[u].append((v, eid))
-    return out
-
-
-def _both_dags(x, y, f, region, graph):
-    graph, w = _resolve(f, region, graph)
-    xi, yi = graph.vindex[tuple(x)], graph.vindex[tuple(y)]
-    dist_x = dijkstra(graph, w, xi)
-    dist_y = dijkstra(graph, w, yi)
-    t = dist_x[yi]
-    if not math.isfinite(t):
-        raise Disconnected(f"{x} and {y} are disconnected inside the region")
-    return graph, w, xi, yi, dist_x, dist_y, float(t)
-
-
 def enumerate_geodesics(
     x: Vertex,
     y: Vertex,
@@ -317,70 +482,7 @@ def enumerate_geodesics(
     graph: RegionGraph | None = None,
 ) -> GeodesicSet:
     """Depth-first extraction of all self-avoiding tight paths x -> y."""
-    graph, w, xi, yi, dist_x, dist_y, t = _both_dags(x, y, f, region, graph)
-    if xi == yi:
-        return GeodesicSet(tuple(x), tuple(y), 0.0, [LatticePath([tuple(x)])], False)
-    arcs = _admissible_arcs(graph, w, dist_x, dist_y, t)
-    paths: list[LatticePath] = []
-    truncated = False
-    stack: list[int] = [xi]
-    on_path = {xi}
-    iters: list[int] = [0]
-    expansions = 0
-    while stack:
-        u = stack[-1]
-        if u == yi:
-            paths.append(LatticePath(graph.vertices[i] for i in stack))
-            if len(paths) >= cap:
-                truncated = True
-                break
-            on_path.discard(stack.pop())
-            iters.pop()
-            continue
-        advanced = False
-        while iters[-1] < len(arcs[u]):
-            v, _ = arcs[u][iters[-1]]
-            iters[-1] += 1
-            if v in on_path:
-                continue
-            expansions += 1
-            stack.append(v)
-            on_path.add(v)
-            iters.append(0)
-            advanced = True
-            break
-        if not advanced:
-            on_path.discard(stack.pop())
-            iters.pop()
-        if expansions > node_budget:
-            truncated = True
-            break
-    return GeodesicSet(tuple(x), tuple(y), t, paths, truncated)
-
-
-def _min_edge_counts(
-    graph: RegionGraph, w: np.ndarray, dist_y: np.ndarray, yi: int, t: float, dist_x: np.ndarray
-) -> np.ndarray:
-    """L(v) = min edges over tight-to-y continuations (BFS on tight arcs)."""
-    tight_rev: list[list[int]] = [[] for _ in range(graph.n)]  # arcs u->v stored at v
-    for u in range(graph.n):
-        if not math.isfinite(dist_y[u]):
-            continue
-        for v, eid in graph.adjacency[u]:
-            if math.isfinite(dist_y[v]) and _close(w[eid] + dist_y[v], dist_y[u]):
-                tight_rev[v].append(u)
-    counts = np.full(graph.n, -1, dtype=np.int64)
-    counts[yi] = 0
-    queue = [yi]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u in tight_rev[v]:
-                if counts[u] < 0:
-                    counts[u] = counts[v] + 1
-                    nxt.append(u)
-        queue = nxt
-    return counts
+    return _dag(x, y, f, region, graph).geodesics(cap, node_budget)
 
 
 def first_lex_geodesic(
@@ -392,66 +494,7 @@ def first_lex_geodesic(
 ) -> LatticePath:
     """Among minimal-edge-count geodesics, the lexicographically first by
     direction word (order e1 < -e1 < e2 < -e2 < ...), built greedily."""
-    graph, w, xi, yi, dist_x, dist_y, t = _both_dags(x, y, f, region, graph)
-    counts = _min_edge_counts(graph, w, dist_y, yi, t, dist_x)
-    if counts[xi] < 0:
-        raise Disconnected("no tight continuation from x")
-    verts = [xi]
-    u = xi
-    while u != yi:
-        for v, eid in graph.adjacency[u]:  # already in direction order
-            if (
-                counts[v] == counts[u] - 1
-                and _close(dist_x[u] + w[eid] + dist_y[v], t)
-            ):
-                verts.append(v)
-                u = v
-                break
-        else:
-            raise AssertionError("tight DAG invariant violated")
-    return LatticePath(graph.vertices[i] for i in verts)
-
-
-def _acyclic_longest(
-    graph: RegionGraph, arcs: list[list[tuple[int, int]]], xi: int, yi: int
-) -> tuple[int, list[int]] | None:
-    """Longest x->y path in the admissible digraph if it is acyclic."""
-    order: list[int] = []
-    state = np.zeros(graph.n, dtype=np.int8)
-    stack = [(xi, 0)]
-    state[xi] = 1
-    while stack:
-        u, it = stack[-1]
-        if it < len(arcs[u]):
-            stack[-1] = (u, it + 1)
-            v = arcs[u][it][0]
-            if state[v] == 1:
-                return None  # cycle (zero-weight loop)
-            if state[v] == 0:
-                state[v] = 1
-                stack.append((v, 0))
-        else:
-            state[u] = 2
-            order.append(u)
-            stack.pop()
-    best = {yi: 0}
-    succ: dict[int, int] = {}
-    for u in order:  # reverse topological: children finish before parents
-        if u == yi:
-            continue
-        cand = None
-        for v, _ in arcs[u]:
-            if v in best and (cand is None or best[v] + 1 > cand):
-                cand = best[v] + 1
-                succ[u] = v
-        if cand is not None:
-            best[u] = cand
-    if xi not in best:
-        return None
-    verts = [xi]
-    while verts[-1] != yi:
-        verts.append(succ[verts[-1]])
-    return best[xi], verts
+    return _dag(x, y, f, region, graph).first_lex()
 
 
 def extreme_length_geodesics(
@@ -469,52 +512,7 @@ def extreme_length_geodesics(
     the maximum to a budgeted self-avoiding search: if the budget runs out
     the reported maximum is a certified lower bound, flagged inexact.
     """
-    graph, w, xi, yi, dist_x, dist_y, t = _both_dags(x, y, f, region, graph)
-    arcs = _admissible_arcs(graph, w, dist_x, dist_y, t)
-    counts = _min_edge_counts(graph, w, dist_y, yi, t, dist_x)
-    wmin = first_lex_geodesic(x, y, f, graph=graph)
-    lmin = int(counts[xi])
-    acyclic = _acyclic_longest(graph, arcs, xi, yi)
-    if acyclic is not None:
-        lmax, verts = acyclic
-        return ExtremalLengths(lmin, lmax, wmin, LatticePath(graph.vertices[i] for i in verts), True)
-    # zero-weight cycles: exhaustive self-avoiding search under a budget
-    best_len = -1
-    best: list[int] = []
-    expansions = 0
-    exact = True
-    stack = [xi]
-    on_path = {xi}
-    iters = [0]
-    while stack:
-        u = stack[-1]
-        if u == yi:
-            if len(stack) - 1 > best_len:
-                best_len = len(stack) - 1
-                best = list(stack)
-            on_path.discard(stack.pop())
-            iters.pop()
-            continue
-        advanced = False
-        while iters[-1] < len(arcs[u]):
-            v, _ = arcs[u][iters[-1]]
-            iters[-1] += 1
-            if v in on_path:
-                continue
-            expansions += 1
-            stack.append(v)
-            on_path.add(v)
-            iters.append(0)
-            advanced = True
-            break
-        if not advanced:
-            on_path.discard(stack.pop())
-            iters.pop()
-        if expansions > node_budget:
-            exact = False
-            break
-    wmax = LatticePath(graph.vertices[i] for i in best)
-    return ExtremalLengths(lmin, best_len, wmin, wmax, exact)
+    return _dag(x, y, f, region, graph).extremes(node_budget)
 
 
 def metric_ball(

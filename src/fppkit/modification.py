@@ -540,7 +540,7 @@ def verify_modification_unbounded(
     if graph is None:
         graph = RegionGraph(f.region)
     t_old, _ = restricted_geodesic_time(zero, x, f, graph=graph)
-    t_new, _ = restricted_geodesic_time(zero, x, star, graph=graph)
+    t_new, star_dag = restricted_geodesic_time(zero, x, star, graph=graph)
     gamma = plan.gamma
     b2, b3 = plan.box.ball(2), plan.box.outer
     cube = LInfBall(plan.box.center, plan.pattern.region.radius)
@@ -569,7 +569,7 @@ def verify_modification_unbounded(
     w = associated_in(gamma_star, gamma, b3)
     rep.add("gamma* associated with gamma in B3", w is not None)
 
-    stars = enumerate_geodesics(zero, x, star, cap=cap, graph=graph)
+    stars = star_dag.geodesics(cap)
     rep.approximate = stars.truncated
     all_hit = True
     all_entry = True
@@ -893,8 +893,8 @@ def verify_modification_bounded(
     dstar = splice(star, donor2, dd)
     gamma = plan.gamma
     t_old, _ = restricted_geodesic_time(zero, x, f)
-    t_star, _ = restricted_geodesic_time(zero, x, star)
-    t_dd, _ = restricted_geodesic_time(zero, x, dstar)
+    t_star, star_dag = restricted_geodesic_time(zero, x, star)
+    t_dd, dstar_dag = restricted_geodesic_time(zero, x, dstar)
 
     b2, b3, b4 = plan.box.ball(2), plan.box.ball(3), plan.box.outer
     disjoint = (
@@ -934,7 +934,7 @@ def verify_modification_bounded(
         "gamma stays a geodesic after the first splice",
         abs(star.path_time(gamma) - t_star) <= 1e-9 * max(1.0, t_star),
     )
-    stars = enumerate_geodesics(zero, x, star, cap=cap)
+    stars = star_dag.geodesics(cap)
     rep.add(
         "every T*-geodesic takes every E*+ edge",
         all(plan.e_star_plus <= set(g.edges()) for g in stars.paths),
@@ -960,7 +960,7 @@ def verify_modification_bounded(
         star.path_time(gamma) - t_gpi >= floor8 - 1e-9,
         f"saving={star.path_time(gamma) - t_gpi:.6g}, floor={floor8:.6g}",
     )
-    dds = enumerate_geodesics(zero, x, dstar, cap=cap)
+    dds = dstar_dag.geodesics(cap)
     rep.approximate = stars.truncated or dds.truncated
     s1, s2 = plan.anchors["s1"], plan.anchors["s2"]
     # the pin clause concerns edges whose time was REDUCED by the modification

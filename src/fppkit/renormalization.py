@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import WeightField
-from .geodesics import RegionGraph, dijkstra
+from .geodesics import GeodesicDag, RegionGraph, dijkstra
 from .lattice import (
     LatticePath,
     L1Ball,
@@ -349,18 +349,16 @@ def _pair_sources(graph: RegionGraph, sample: int | None, seed: int) -> list[int
     return sorted(rs.choice(graph.n, size=sample, replace=False).tolist())
 
 
-def _witness_path(graph: RegionGraph, w: np.ndarray, dist: np.ndarray, j: int) -> str:
-    """One optimal path realizing dist[j], serialized as a direction string."""
+def _witness_path(dag: GeodesicDag, j: int) -> str:
+    """One optimal path realizing dag.dist[j], serialized as a direction
+    string: back from j along the first tight parent not yet on the path."""
     verts = [j]
-    while dist[verts[-1]] > 0:
-        v = verts[-1]
-        for u, eid in graph.adjacency[v]:
-            if math.isfinite(dist[u]) and abs(dist[u] + w[eid] - dist[v]) <= 1e-9 * max(1.0, dist[v]):
-                verts.append(u)
-                break
-        else:
+    while dag.dist[verts[-1]] > 0:
+        u = next((u for u, _ in dag.parents[verts[-1]] if u not in verts), None)
+        if u is None:
             break
-    path = LatticePath(graph.vertices[i] for i in reversed(verts))
+        verts.append(u)
+    path = LatticePath(dag.graph.vertices[i] for i in reversed(verts))
     return f"start={path.start} dirs={path.directions()}"
 
 
@@ -423,7 +421,7 @@ def typicality_unbounded(
                 ok = False
                 witness = (
                     f"pair {vi}->{graph.vertices[j]}: t={di[j]:.6g} < {threshold * sep:.6g}; "
-                    + _witness_path(graph, w, di, j)
+                    + _witness_path(GeodesicDag(graph, w, vi, di), j)
                 )
                 break
         if not ok:
@@ -438,28 +436,25 @@ def typicality_unbounded(
     return TypicalityReport(box, (c1, c2, c3), below)
 
 
-def _tight_min_heavy_all(
-    graph: RegionGraph, w: np.ndarray, dist_u: np.ndarray, ui: int, heavy: np.ndarray
-) -> dict[int, int]:
-    """Min number of heavy edges over restricted-optimal u -> . paths, for
-    every target at once (Dijkstra with unit heavy-cost on the tight DAG)."""
+def _tight_min_heavy_all(dag: GeodesicDag, heavy: np.ndarray) -> dict[int, int]:
+    """Min number of heavy edges over restricted-optimal source -> . paths,
+    for every target at once (Dijkstra with unit heavy-cost on the
+    single-source tight arcs)."""
     import heapq
 
+    ui = dag.graph.vindex[dag.source]
     best = {ui: 0}
     heap = [(0, ui)]
-    dist = dist_u
+    children = dag.children
     while heap:
         h, i = heapq.heappop(heap)
         if h > best.get(i, 1 << 60):
             continue
-        for j, eid in graph.adjacency[i]:
-            if not math.isfinite(dist[j]):
-                continue
-            if abs(dist[i] + w[eid] - dist[j]) <= 1e-9 * max(1.0, abs(dist[j])):
-                nh = h + int(heavy[eid])
-                if nh < best.get(j, 1 << 60):
-                    best[j] = nh
-                    heapq.heappush(heap, (nh, j))
+        for j, eid in children[i]:
+            nh = h + int(heavy[eid])
+            if nh < best.get(j, 1 << 60):
+                best[j] = nh
+                heapq.heappush(heap, (nh, j))
     return best
 
 
@@ -501,9 +496,8 @@ def typicality_bounded(
     for i in sources:
         dist = dijkstra(graph4, w4, i)
         vi = graph4.vertices[i]
-        hmin_all = (
-            _tight_min_heavy_all(graph4, w4, dist, i, heavy) if i in in_b3_set else {}
-        )
+        dag = GeodesicDag(graph4, w4, vi, dist)
+        hmin_all = _tight_min_heavy_all(dag, heavy) if i in in_b3_set else {}
         for j in range(graph4.n):
             vj = graph4.vertices[j]
             sep = l1(vi, vj)
@@ -514,7 +508,7 @@ def typicality_bounded(
                 c2_ok = False
                 c2_wit = (
                     f"pair {vi}->{vj}: t={dist[j]:.6g} < {threshold * sep:.6g}; "
-                    + _witness_path(graph4, w4, dist, j)
+                    + _witness_path(dag, j)
                 )
             if i in in_b3_set and j in in_b3_set:
                 # clause (iii): mu approximation on B3 pairs

@@ -38,10 +38,14 @@ def pack_edge_keys(coords: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np
     """Injectively pack canonical edge identifiers into two uint64 words.
 
     ``coords`` has shape (n, d) and holds the lexicographically smaller
-    endpoint of each edge; ``axes`` holds the edge direction index.
+    endpoint of each edge; ``axes`` holds the edge direction index.  Three
+    coordinates fill the low word and the axis plus two more the high word,
+    so d <= 5 is supported.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     axes = np.asarray(axes, dtype=np.int64).reshape(-1)
+    if coords.shape[1] > 5:
+        raise ValueError(f"edge keys pack injectively only for d <= 5, got d={coords.shape[1]}")
     if np.any(np.abs(coords) >= COORD_BOUND):
         raise OverflowError("edge coordinate outside the supported working extent")
     shifted = (coords + COORD_BOUND).astype(np.uint64)

@@ -1,3 +1,5 @@
+import pytest
+
 from fppkit.cli import main
 from fppkit.config import parse_config, read_csv, spec_from_config, write_csv
 
@@ -183,3 +185,28 @@ def test_cli_large_edges_and_typical_rate(tmp_path):
     assert main(["typical-rate", "--config", cfg, "--out", str(tmp_path / "tr.csv")]) == 0
     rows = read_csv(str(tmp_path / "tr.csv"))
     assert {"clause1", "clause2", "clause3", "typical"} <= set(rows[0])
+
+
+def test_cli_jobs_rejected_where_not_honoured(tmp_path, capsys):
+    cfg = _write(tmp_path, "atoms = [(1.0, 0.5), (2.0, 0.5)]\nn_list = [10]\ntrials = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["shift", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--jobs", "2"])
+    assert exc.value.code != 0
+    assert "shift" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_modify_demo_rejects_non_numeric_delta(tmp_path):
+    cfg = _write(
+        tmp_path,
+        """
+        atoms = [(1.0, 0.05)]
+        exptail = [(3.0, 0.5, 0.95)]
+        pattern = av_edge
+        pattern_params = {"M": 8.0}
+        instances = 1
+        delta = np.float64(2.066)
+        """,
+    )
+    with pytest.raises(SystemExit, match="config key 'delta'"):
+        main(["modify-demo", "--config", cfg, "--out", str(tmp_path / "demo.csv")])

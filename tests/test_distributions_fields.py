@@ -6,6 +6,7 @@ from scipy import stats
 
 from fppkit.distributions import DistributionSpec, usefulness_check
 from fppkit.fields import (
+    _edge_arrays,
     EdgeConstraintSet,
     constant_field,
     constraint_probability,
@@ -179,3 +180,14 @@ def test_field_csv_round_trip(tmp_path):
     f.to_csv(path)
     g = type(f).from_csv(path, region)
     assert g.times == f.times
+
+
+def test_edge_keys_distinct_up_to_d5_and_rejected_above():
+    for d in (2, 5):
+        edges = region_edges(ProductBox((-1,) * d, (1,) * d))
+        lo, hi = _edge_arrays(edges)
+        assert len(set(zip(lo.tolist(), hi.tolist()))) == len(edges)
+    origin6 = (0,) * 6
+    edges6 = [(origin6, tuple(int(i == a) for i in range(6))) for a in range(6)]
+    with pytest.raises(ValueError, match="d <= 5"):
+        _edge_arrays(edges6)

@@ -24,6 +24,7 @@ from fppkit.patterns import obstruction_pattern, atom_square_pattern
 UNIF12 = DistributionSpec(uniforms=((1.0, 2.0, 1.0),))
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 ATOMS14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))
+ATOMS13 = DistributionSpec(atoms=((1.0, 0.6), (3.0, 0.4)))
 
 
 def binom(n, k):
@@ -191,13 +192,15 @@ def test_extreme_lengths_constant_and_parity():
 
 def test_extreme_lengths_against_enumeration():
     region = ProductBox((-1, -1), (6, 6))
-    for seed in range(40):
-        f = sample_field(region, ATOMS12, seed)
-        gs = enumerate_geodesics((0, 0), (4, 4), f, cap=100_000)
-        assert not gs.truncated
-        ext = extreme_length_geodesics((0, 0), (4, 4), f)
-        assert ext.lmin == min(len(p) for p in gs.paths)
-        assert ext.lmax == max(len(p) for p in gs.paths)
+    # under ATOMS13 a detour of three light edges ties with one heavy edge
+    for spec in (ATOMS12, ATOMS13):
+        for seed in range(40):
+            f = sample_field(region, spec, seed)
+            gs = enumerate_geodesics((0, 0), (4, 4), f, cap=100_000)
+            assert not gs.truncated
+            ext = extreme_length_geodesics((0, 0), (4, 4), f)
+            assert ext.lmin == min(len(p) for p in gs.paths)
+            assert ext.lmax == max(len(p) for p in gs.paths)
 
 
 def test_extreme_lengths_zero_atoms_match_oracle():
@@ -211,6 +214,13 @@ def test_extreme_lengths_zero_atoms_match_oracle():
             assert ext.lmin == min(len(p) for p in res.paths)
             assert ext.lmax == max(len(p) for p in res.paths)
 
+
+
+def test_extreme_lengths_budget_spent_before_reaching_y():
+    f = constant_field(ProductBox((0, 0), (4, 4)), 0.0)
+    ext = extreme_length_geodesics((0, 0), (4, 4), f, node_budget=3)
+    assert not ext.exact
+    assert ext.lmin == ext.lmax == 8 and ext.witness_max == ext.witness_min
 
 def test_geodesic_time_certification():
     region = L1Ball((2, 0), 20)

@@ -303,3 +303,17 @@ def test_confinement_on_typical_boxes():
         if found >= 5:
             break
     assert found >= 3
+
+
+def test_witness_path_crosses_zero_weight_ties():
+    # (1,0) and (2,0) share distance 1 through a zero edge, so each is a
+    # tight parent of the other; the walk back must still reach the source
+    from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra
+    from fppkit.renormalization import _witness_path
+
+    region = ProductBox((0, 0), (2, 1))
+    f = constant_field(region, 5.0).replaced({((0, 0), (1, 0)): 1.0, ((1, 0), (2, 0)): 0.0})
+    graph = RegionGraph(region)
+    w = graph.weights_of(f)
+    dag = GeodesicDag(graph, w, (0, 0), dijkstra(graph, w, graph.vindex[(0, 0)]))
+    assert _witness_path(dag, graph.vindex[(2, 0)]) == "start=(0, 0) dirs=+1,+1"
