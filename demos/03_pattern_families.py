@@ -10,7 +10,7 @@ import fppkit as fpp
 pat = fpp.two_route_pattern_bounded(4, 2, [1.0] * 8, [2.0] * 4)
 spec = fpp.DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 f = fpp.sample_conditioned(pat.region, spec, pat.event, 0)
-plus, detour = pat._routes
+plus, detour = pat.routes
 t, _ = fpp.restricted_geodesic_time(pat.u_end, pat.v_end, f, region=pat.region)
 print(f"20x10 two-route pattern: optimum {t}, straight route {f.path_time(plus)}, "
       f"detour {f.path_time(detour)} (lengths {len(plus)} vs {len(detour)})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fields import sample_conditioned
+from .fields import WeightField
 from .geodesics import (
     GeodesicDag,
     NormEstimate,
@@ -51,16 +51,12 @@ def segment_region(n: int, d: int, pad: int) -> ProductBox:
 
 
 def _geodesic_panel(
-    graph: RegionGraph,
-    w: np.ndarray,
-    x: Vertex,
-    y: Vertex,
-    cap: int,
+    f: WeightField, x: Vertex, y: Vertex, cap: int
 ) -> tuple[list[LatticePath], bool, float]:
     """Enumerated geodesics (both extremal-length witnesses, the shorter of
     them the first-lex geodesic, always included) plus the truncation flag
     and the optimum, all from one engine (two Dijkstra runs)."""
-    dag = GeodesicDag.between(graph, w, x, y)
+    dag = GeodesicDag.between(f.graph, f.w, x, y)
     gs, ext = dag.geodesics(cap), dag.extremes()
     paths = list(dict.fromkeys([*gs.paths, ext.witness_min, ext.witness_max]))
     return paths, gs.truncated, gs.time
@@ -88,9 +84,8 @@ def run_deficiency(
         x, y = (0,) * d, (n,) + (0,) * (d - 1)
         for k in range(trials):
             s = derive_seed(seed, "deficiency", n, k)
-            w = graph.sample_weights(spec, s)
-            paths, truncated, _ = _geodesic_panel(graph, w, x, y, cap)
-            f = graph.field_from(w)
+            f = graph.field_from(graph.sample_weights(spec, s))
+            paths, truncated, _ = _geodesic_panel(f, x, y, cap)
             min_n = min(count_occurrences(g, pattern, f) for g in paths)
             rows.append(
                 dict(experiment="deficiency", n=n, trial=k, seed=s, min_count=min_n,
@@ -129,10 +124,9 @@ def run_large_edges(
         x, y = (0,) * d, (n,) + (0,) * (d - 1)
         for k in range(trials):
             s = derive_seed(seed, "large_edges", n, k)
-            w = graph.sample_weights(spec, s)
-            paths, truncated, _ = _geodesic_panel(graph, w, x, y, cap)
-            heavy = {e for e, t in zip(graph.edges, w) if t >= M - 1e-12}
-            min_h = min(sum(1 for e in g.edges() if e in heavy) for g in paths)
+            f = graph.field_from(graph.sample_weights(spec, s))
+            paths, truncated, _ = _geodesic_panel(f, x, y, cap)
+            min_h = min(int((f.times_at(g.edges()) >= M - 1e-12).sum()) for g in paths)
             rows.append(
                 dict(experiment="large_edges", n=n, trial=k, seed=s, min_count=min_h,
                      truncated=int(truncated), n_geodesics=len(paths))
@@ -270,8 +264,7 @@ def run_typical_rate(
             nu_N = estimate_nu(spec, n_edges, derive_seed(seed, "nu", N))
         for k in range(boxes):
             s = derive_seed(seed, "typical", N, k)
-            w = graph.sample_weights(spec, s)
-            f = graph.field_from(w)
+            f = graph.field_from(graph.sample_weights(spec, s))
             if regime == "unbounded":
                 rep = typicality_unbounded(box, f, constants, nu_N=nu_N, pair_sample=pair_sample, graph=graph)
             else:
@@ -355,8 +348,7 @@ def run_modification_demo_unbounded(
         k += 1
         attempts += 1
         s = derive_seed(seed, "demo", k)
-        w = graph.sample_weights(spec, s)
-        f = graph.field_from(w, seed=s)
+        f = graph.field_from(graph.sample_weights(spec, s), seed=s)
         gamma = first_lex_geodesic(zero, x, f, graph=graph)
         if not crosses(gamma, box):
             gate_fail += 1
@@ -374,7 +366,7 @@ def run_modification_demo_unbounded(
         if t_uw < (rho + delta) * l1(u, wvert) or t_wv < (rho + delta) * l1(wvert, v):
             gate_fail += 1
             continue
-        if sum(f.times[e] for e in b2_edges) >= nu_N:
+        if sum(f.times_at(b2_edges).tolist()) >= nu_N:
             gate_fail += 1
             continue
         try:
@@ -382,7 +374,7 @@ def run_modification_demo_unbounded(
         except PlanError:
             gate_fail += 1
             continue
-        donor = sample_conditioned(region, spec, plan.target, derive_seed(seed, "donor", k))
+        donor = graph.field_from(graph.sample_weights(spec, derive_seed(seed, "donor", k), plan.target))
         rep, _ = verify_modification_unbounded(plan, f, donor, x, cap=cap, graph=graph)
         rep.below_thresholds = True  # radii overridden below the derived thresholds
         out.append(
@@ -437,8 +429,7 @@ def calibrate_alpha(
     fracs = []
     for k in range(trials):
         w = graph.sample_weights(spec, derive_seed(seed, "calalpha", k))
-        f = graph.field_from(w)
-        g = first_lex_geodesic(x, y, f, graph=graph)
-        heavy = sum(1 for e in g.edges() if f.times[e] >= level - 1e-12)
+        g = GeodesicDag.between(graph, w, x, y).first_lex()
+        heavy = int((w[graph.edge_ids(g.edges())] >= level - 1e-12).sum())
         fracs.append(heavy / l1(x, y))
     return safety * min(fracs)

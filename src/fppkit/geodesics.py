@@ -29,18 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fields import WeightField
-from .lattice import (
-    Edge,
-    LatticePath,
-    Region,
-    Vertex,
-    direction_order,
-    l1,
-    region_boundary,
-    region_edges,
-    vscale,
-)
+from .fields import RegionGraph, WeightField
+from .lattice import LatticePath, Region, Vertex, l1, region_boundary, vscale
 from .rng import derive_seed
 
 REL_TOL = 1e-9  # tightness tolerance for continuous weights (float summation order)
@@ -54,65 +44,6 @@ class RegionTooSmall(Exception):
 
 class Disconnected(Exception):
     """No path between the endpoints inside the region."""
-
-
-class RegionGraph:
-    """Indexed view of a region's vertices and edges for array algorithms."""
-
-    def __init__(self, region: Region):
-        self.region = region
-        self.vertices: list[Vertex] = sorted(region.vertices())
-        self.vindex: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.edges: list[Edge] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for e in region_edges(region):
-            eid = len(self.edges)
-            self.edges.append(e)
-            i, j = self.vindex[e[0]], self.vindex[e[1]]
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
-        # deterministic neighbor order: by direction order e1 < -e1 < e2 < ...
-        dirs = direction_order(region.dim)
-        for i, v in enumerate(self.vertices):
-            rank = {}
-            for nb, eid in adj[i]:
-                step = tuple(b - a for a, b in zip(v, self.vertices[nb]))
-                rank[(nb, eid)] = dirs.index(step)
-            adj[i].sort(key=rank.__getitem__)
-        self.adjacency = adj
-        self._boundary: frozenset[int] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def boundary_indices(self) -> frozenset[int]:
-        if self._boundary is None:
-            self._boundary = frozenset(self.vindex[v] for v in region_boundary(self.region))
-        return self._boundary
-
-    def weights_of(self, f: WeightField) -> np.ndarray:
-        t = f.times
-        return np.array([t[e] for e in self.edges], dtype=np.float64)
-
-    def sample_weights(self, spec: DistributionSpec, seed: int) -> np.ndarray:
-        """Array fast path; agrees edge-for-edge with fields.sample_field."""
-        from .fields import edge_times_for
-
-        return edge_times_for(self.edges, spec, seed)
-
-    def field_from(self, w: np.ndarray, seed: int = -1, label: str = "") -> WeightField:
-        return WeightField(self.region, dict(zip(self.edges, w.tolist())), seed, label)
-
-    @cached_property
-    def arc_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every directed arc as (tail, head, edge id) arrays, grouped by
-        tail in `adjacency` (direction) order; built on first use."""
-        adj, count = self.adjacency, 2 * len(self.edges)
-        tail = np.repeat(np.arange(self.n), [len(a) for a in adj])
-        head = np.fromiter((v for a in adj for v, _ in a), np.intp, count)
-        edge = np.fromiter((e for a in adj for _, e in a), np.intp, count)
-        return tail, head, edge
 
 
 def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
@@ -409,18 +340,16 @@ class NormEstimate:
 
 
 def _resolve(field: WeightField, region: Region | None, graph: RegionGraph | None):
+    """The graph to search (the field's own unless another region is asked
+    for) and the field's weights on it."""
     if graph is None:
-        graph = RegionGraph(region if region is not None else field.region)
-    w = graph.weights_of(field)
-    return graph, w
+        graph = field.graph if region in (None, field.region) else RegionGraph(region)
+    return graph, graph.weights_of(field)
 
 
 def passage_time(path: LatticePath, f: WeightField) -> float:
     """Sum of the path's edge times; every edge must lie in the field."""
-    try:
-        return f.path_time(path)
-    except KeyError as exc:
-        raise KeyError(f"path edge {exc} outside the field") from None
+    return f.path_time(path)
 
 
 def _dag(x: Vertex, y: Vertex, f: WeightField, region: Region | None, graph: RegionGraph | None) -> GeodesicDag:

@@ -231,9 +231,6 @@ class Region:
     def vertices(self) -> Iterator[Vertex]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def contains_path(self, path: LatticePath) -> bool:
-        return all(self.contains(v) for v in path)
-
     def contains_edge(self, e: Edge) -> bool:
         return self.contains(e[0]) and self.contains(e[1])
 

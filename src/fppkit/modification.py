@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .fields import EdgeConstraintSet, WeightField, splice
 from .geodesics import (
     RegionGraph,
+    _resolve,
     dijkstra,
     enumerate_geodesics,
     first_lex_geodesic,
@@ -134,36 +135,6 @@ def _shell_route(
                     nxt.append(w)
         frontier = nxt
     raise PlanError("shell route disconnected by the avoid set")
-
-
-def _band_route(
-    center: Vertex, r_lo: int, r_hi: int, a: Vertex, b: Vertex, avoid: set[Vertex]
-) -> LatticePath:
-    """BFS route inside the l-inf band r_lo <= |v - center|_inf <= r_hi."""
-    if a == b:
-        return LatticePath([a])
-    ok = lambda v: r_lo <= linf(v, center) <= r_hi or v == b
-    parent: dict[Vertex, Vertex] = {a: a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in sorted(frontier):
-            for i in range(len(v)):
-                for sign in (1, -1):
-                    w = list(v)
-                    w[i] += sign
-                    w = tuple(w)
-                    if w in parent or w in avoid or not ok(w):
-                        continue
-                    parent[w] = v
-                    if w == b:
-                        path = [w]
-                        while path[-1] != a:
-                            path.append(parent[path[-1]])
-                        return LatticePath(path[::-1])
-                    nxt.append(w)
-        frontier = nxt
-    raise PlanError("band route disconnected")
 
 
 def _inward_steps(v: Vertex, center: Vertex, target_r: int, avoid: set[Vertex]) -> LatticePath:
@@ -311,7 +282,7 @@ def _degenerate_shell_legs(center, lam, u0, v0, u_end, v_end, normals_at):
     alpha = normals_at(u_end)[0]
     u_tgt = vadd(u_end, vscale(2, alpha))
     drop1 = _inward_steps(u0pp, center, lam + 2, {v0})
-    band1 = _band_route(center, lam + 2, lam + 2, drop1.end, u_tgt, set(route1.vertices) | {v0})
+    band1 = _shell_route(center, lam + 2, drop1.end, u_tgt, set(route1.vertices) | {v0})
     descent1 = LatticePath([u_tgt, vadd(u_end, alpha), u_end])
     pi_u_in = route1.concat(drop1).concat(band1).concat(descent1)
     taken = set(pi_u_in.vertices)
@@ -327,7 +298,7 @@ def _degenerate_shell_legs(center, lam, u0, v0, u_end, v_end, normals_at):
     beta = next(b for b in normals_at(v_end) if vadd(v_end, b) not in taken)
     v_tgt = vadd(v_end, beta)
     drop2 = _inward_steps(v0pp, center, lam + 1, taken)
-    band2 = _band_route(center, lam + 1, lam + 1, drop2.end, v_tgt, taken)
+    band2 = _shell_route(center, lam + 1, drop2.end, v_tgt, taken)
     pi_v_in = (
         LatticePath([v_end, v_tgt])
         .concat(band2.reversed())
@@ -537,8 +508,6 @@ def verify_modification_unbounded(
     rep = VerificationReport()
     star = splice(f, donor, plan.splice_edges())
     zero = (0,) * len(x)
-    if graph is None:
-        graph = RegionGraph(f.region)
     t_old, _ = restricted_geodesic_time(zero, x, f, graph=graph)
     t_new, star_dag = restricted_geodesic_time(zero, x, star, graph=graph)
     gamma = plan.gamma
@@ -733,7 +702,7 @@ def first_stage_bounded(
     e_star_plus = set()
     for seg in (gamma.subpath(u, u0), gamma.subpath(v0, v)):
         for e in seg.edges():
-            if b3.contains_edge(e) and not b2.contains_edge(e) and f.times[e] > rho + delta:
+            if b3.contains_edge(e) and not b2.contains_edge(e) and f.time(e) > rho + delta:
                 e_star_plus.add(e)
     if not e_star_plus:
         raise PlanError("anchor s1/s2 undefined: no first-stage heavy edges")
@@ -788,9 +757,7 @@ def build_plan_bounded(
     pi = conn.path
 
     star = splice(f, donor1, stage1.e_star_plus)
-    region = region if region is not None else f.region
-    graph = RegionGraph(region)
-    w_star = graph.weights_of(star)
+    graph, w_star = _resolve(star, region, None)
     dist0 = dijkstra(graph, w_star, graph.vindex[zero])
     distx = dijkstra(graph, w_star, graph.vindex[gamma.end])
     # gamma stays a T*-geodesic, so T*(gamma_{0,u1}) = t*(0, u1)
@@ -844,7 +811,7 @@ def build_plan_bounded(
     e_pm = frozenset(
         e
         for e in region_edges(b2)
-        if f.times[e] < nu
+        if f.time(e) < nu
         and e not in e_pat
         and e not in highway
         and not (e[0] in ball0 and e[1] in ball0)
@@ -967,7 +934,7 @@ def verify_modification_bounded(
     changed = {
         e
         for e in (plan.e_star_plus | plan.e_pp | plan.e_pm | plan.e_pat)
-        if dstar.times[e] < f.times[e] - 1e-12
+        if dstar.time(e) < f.time(e) - 1e-12
     }
     ok_s1s2 = True
     ok_pi_order = True

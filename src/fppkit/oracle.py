@@ -117,7 +117,7 @@ def exact_optimal_set(
     x, y = tuple(x), tuple(y)
     rho = max(f.min_time, 0.0)
     dirs = direction_order(region.dim)
-    times = f.times
+    times = dict(zip(f.edges(), f.w.tolist()))  # the oracle's own copy of T
     best = math.inf
     best_paths: list[tuple[Vertex, ...]] = []
     nodes = 0
@@ -166,7 +166,7 @@ def floyd_warshall_times(region: Region, f: WeightField) -> tuple[list[Vertex], 
     np.fill_diagonal(dist, 0.0)
     for e in region_edges(region):
         i, j = index[e[0]], index[e[1]]
-        dist[i, j] = dist[j, i] = f.times[e]
+        dist[i, j] = dist[j, i] = f.time(e)
     for k in range(n):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return vertices, dist
@@ -183,6 +183,7 @@ def oracle_pattern_count(path: LatticePath, pattern, f: WeightField) -> int:
     extent = box_containing(path.vertices, pad=diam + 2)
     count = 0
     pat_edges = list(pattern.event.constraints.items())
+    times = dict(zip(f.edges(), f.w.tolist()))
     for x0 in extent.vertices():
         # condition 1: the translated path visits both endpoints and the
         # subpath between them stays inside the translated pattern support
@@ -200,7 +201,7 @@ def oracle_pattern_count(path: LatticePath, pattern, f: WeightField) -> int:
             ea = vadd(a, x0)
             eb = vadd(b, x0)
             key = (ea, eb) if ea <= eb else (eb, ea)
-            t = f.times.get(key)
+            t = times.get(key)
             if t is None or not (lo - 1e-9 <= t <= hi + 1e-9):
                 ok = False
                 break

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .fields import EdgeConstraintSet, WeightField, constraint_probability
-from .geodesics import GeodesicSet, enumerate_geodesics
+from .geodesics import GeodesicDag, GeodesicSet, _resolve, dijkstra, enumerate_geodesics
 from .lattice import (
     Edge,
     LatticePath,
@@ -39,13 +39,19 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class Pattern:
-    """(support box, entry endpoint, exit endpoint, edge-time event)."""
+    """(support box, entry endpoint, exit endpoint, edge-time event), plus
+    the routes, inner block, alpha or base and connectors a builder made."""
 
     region: Region
     u_end: Vertex
     v_end: Vertex
     event: EdgeConstraintSet
     tag: str = ""
+    routes: tuple[LatticePath, LatticePath] | None = None
+    inner: ProductBox | None = None
+    alpha: int | None = None
+    base: Pattern | None = None
+    connectors: tuple[LatticePath, LatticePath] | None = None
 
     def __post_init__(self):
         if self.u_end == self.v_end:
@@ -61,9 +67,6 @@ class Pattern:
     @property
     def dim(self) -> int:
         return self.region.dim
-
-    def vertex_count(self) -> int:
-        return sum(1 for _ in self.region.vertices())
 
     def serialize(self) -> str:
         vs = list(self.region.vertices())
@@ -164,12 +167,10 @@ def condition_holds(
     for v in path.vertices[i : j + 1]:
         if not p.region.contains(vsub(v, x)):
             return None
-    times = f.times
+    graph, w = f.graph, f.w
     for (a, b), (lo, hi) in p.event.constraints.items():
-        ea, eb = vadd(a, x), vadd(b, x)
-        key = (ea, eb) if ea <= eb else (eb, ea)
-        t = times.get(key)
-        if t is None or not (lo - 1e-9 <= t <= hi + 1e-9):
+        eid = graph.edge_id((vadd(a, x), vadd(b, x)))  # translation keeps edges canonical
+        if eid < 0 or not (lo - 1e-9 <= w[eid] <= hi + 1e-9):
             return None
     return PatternHit(x, i, j)
 
@@ -296,11 +297,10 @@ def two_route_pattern_zero_atom(k: int, l: int, spec: DistributionSpec, d: int =
     pp = pp.concat(straight_path(pp.end, 0, 1, 1))
     special = {e: (0.0, 0.0) for e in set(plus.edges()) | set(pp.edges())}
     wall_lo = spec.low_representative(1e-9, math.inf)
-    pat = Pattern(
-        region, u, v, _constrain_all(region, special, (wall_lo, math.inf)), "two-route-zero"
+    return Pattern(
+        region, u, v, _constrain_all(region, special, (wall_lo, math.inf)), "two-route-zero",
+        routes=(plus, pp),
     )
-    object.__setattr__(pat, "_routes", (plus, pp))
-    return pat
 
 
 def two_route_pattern_unbounded(
@@ -323,9 +323,10 @@ def two_route_pattern_unbounded(
         special[canonical_edge(a, b)] = (val, val)
     for val, (a, b) in zip(r_atoms, zip(pp.vertices, pp.vertices[1:])):
         special[canonical_edge(a, b)] = (val, val)
-    pat = Pattern(region, u, v, _constrain_all(region, special, (M, math.inf)), "two-route-unbounded")
-    object.__setattr__(pat, "_routes", (plus, pp))
-    return pat
+    return Pattern(
+        region, u, v, _constrain_all(region, special, (M, math.inf)), "two-route-unbounded",
+        routes=(plus, pp),
+    )
 
 
 def two_route_pattern_bounded(
@@ -370,10 +371,10 @@ def two_route_pattern_bounded(
     for i, (a, b) in enumerate(down_leg, start=1):
         val = r_sorted[l + (i - 1) % l]
         special[canonical_edge(a, b)] = (val, val)
-    pat = Pattern(region, u, v, _constrain_all(region, special, (a_max, a_max)), "two-route-bounded")
-    object.__setattr__(pat, "_routes", (plus, pp))
-    object.__setattr__(pat, "_alpha", alpha)
-    return pat
+    return Pattern(
+        region, u, v, _constrain_all(region, special, (a_max, a_max)), "two-route-bounded",
+        routes=(plus, pp), alpha=alpha,
+    )
 
 
 def shift_concavity_pattern(k: int, l: int, r: float, s: float, delta: float, d: int = 2) -> Pattern:
@@ -397,12 +398,10 @@ def shift_concavity_pattern(k: int, l: int, r: float, s: float, delta: float, d:
     for e in pp.edges():
         if inner.contains(e[0]) and inner.contains(e[1]):
             special[e] = (r - delta, r + delta)
-    pat = Pattern(
-        region, u, v, _constrain_all(region, special, (s - delta, s + delta)), "shift-concavity"
+    return Pattern(
+        region, u, v, _constrain_all(region, special, (s - delta, s + delta)), "shift-concavity",
+        routes=(plus, pp), inner=inner,
     )
-    object.__setattr__(pat, "_routes", (plus, pp))
-    object.__setattr__(pat, "_inner", inner)
-    return pat
 
 
 def shift_concavity_properties(p: Pattern, f: WeightField, cap: int = 4096) -> tuple[bool, bool]:
@@ -413,15 +412,12 @@ def shift_concavity_properties(p: Pattern, f: WeightField, cap: int = 4096) -> t
         path from w1 into the block still costs less than the cheapest
         path from w1 out to the support boundary.
     """
-    plus, _ = p._routes  # type: ignore[attr-defined]
-    inner: ProductBox = p._inner  # type: ignore[attr-defined]
-    opt = enumerate_geodesics(p.u_end, p.v_end, f, region=p.region, cap=cap)
+    plus, _ = p.routes
+    inner = p.inner
+    graph, w = _resolve(f, p.region, None)
+    opt = GeodesicDag.between(graph, w, p.u_end, p.v_end).geodesics(cap)
     p1 = (not opt.truncated) and len(opt.paths) == 1 and opt.paths[0] == plus
 
-    from .geodesics import RegionGraph, dijkstra
-
-    graph = RegionGraph(p.region)
-    w = graph.weights_of(f)
     outer = [graph.vindex[v] for v in region_boundary(p.region)]
     p2 = True
     for w1 in region_boundary(inner):
@@ -438,7 +434,7 @@ def shift_concavity_properties(p: Pattern, f: WeightField, cap: int = 4096) -> t
                         z = vadd(w0, unit(p.dim, axis, sign))
                         if not inner.contains(z) or l1(z, w1) != l1(w0, w1) + 1:
                             continue
-                        c = best[w0] + f.times[canonical_edge(w0, z)]
+                        c = best[w0] + f.time((w0, z))
                         if c > best.get(z, -math.inf):
                             best[z] = c
                             nxt.append(z)
@@ -537,10 +533,9 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     for e in region_edges(p.region):
         if e not in cons:
             cons[e] = (0.0, m_cap)
-    out = Pattern(cube, pu.end, pv.end, EdgeConstraintSet(cons), p.tag + "+cube")
-    object.__setattr__(out, "_base", p)
-    object.__setattr__(out, "_connectors", (pu, pv))
-    return out
+    return Pattern(
+        cube, pu.end, pv.end, EdgeConstraintSet(cons), p.tag + "+cube", base=p, connectors=(pu, pv)
+    )
 
 
 def orient_pattern(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import WeightField
-from .geodesics import GeodesicDag, RegionGraph, dijkstra
+from .geodesics import GeodesicDag, RegionGraph, _resolve, dijkstra
 from .lattice import (
     LatticePath,
     L1Ball,
@@ -165,14 +165,6 @@ class ConstantsSet:
             checks.append(("r4 > r3 (rho+delta+t_max)/(rho+delta)", self.r4 > self.r3 * (self.rho + self.delta + self.t_max) / (self.rho + self.delta)))
             checks.append(("r = 2(r1+r4+1)", self.r_annulus == 2 * (self.r1 + self.r4 + 1)))
         return checks
-
-    def to_config_text(self) -> str:
-        rows = []
-        for key, val in self.__dict__.items():
-            if val is None or key.startswith("_"):
-                continue
-            rows.append(f"{key} = {val!r}")
-        return "\n".join(rows)
 
     def box(self, s: Vertex, N: int, radii: tuple[int, ...] | None = None) -> BoxScale:
         if radii is None:
@@ -392,8 +384,7 @@ def typicality_unbounded(
     if nu_N is None:
         raise ValueError(f"no nu(N) available for N={N}")
     b3 = box.outer
-    graph = graph if graph is not None else RegionGraph(b3)
-    w = graph.weights_of(f)
+    graph, w = _resolve(f, b3, graph)
     center = graph.vindex[box.center]
     dist = dijkstra(graph, w, center)
     b2 = box.ball(2)
@@ -430,7 +421,7 @@ def typicality_unbounded(
     if pair_sample is not None and pair_sample < graph.n:
         name2 += f" [subsampled {len(sources)} sources]"
     c2 = ClauseReport(name2, ok, witness)
-    total = sum(f.times[e] for e in region_edges(b2))
+    total = sum(f.times_at(region_edges(b2)).tolist())
     c3 = ClauseReport("(iii) B2 weight sum", total < nu_N, f"sum={total:.6g} vs nu(N)={nu_N:.6g}")
     below = constants.r2 > r2 or constants.r3 > box.radii[2]
     return TypicalityReport(box, (c1, c2, c3), below)
@@ -483,8 +474,7 @@ def typicality_bounded(
     eps = constants.epsilon if constants.epsilon is not None else 0.1
     b4 = box.outer
     b3 = box.ball(3)
-    graph4 = graph4 if graph4 is not None else RegionGraph(b4)
-    w4 = graph4.weights_of(f)
+    graph4, w4 = _resolve(f, b4, graph4)
     heavy = w4 >= constants.rho + constants.delta - 1e-12
     in_b3 = [i for i, v in enumerate(graph4.vertices) if b3.contains(v)]
     sources = _pair_sources(graph4, pair_sample, derive_seed(1, "pairs", *box.s, N))

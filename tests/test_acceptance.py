@@ -129,7 +129,7 @@ def test_criterion_04_two_route_patterns():
     pat = two_route_pattern_bounded(4, 2, [1.0] * 8, [2.0] * 4)
     f = sample_conditioned(pat.region, ATOMS12, pat.event, 0)
     t, dag = restricted_geodesic_time(pat.u_end, pat.v_end, f, region=pat.region)
-    plus, pp = pat._routes
+    plus, pp = pat.routes
     assert t == 40.0
     assert f.path_time(plus) == 40.0 and f.path_time(pp) == 40.0
     tight = dag.tight_edges()

@@ -84,5 +84,5 @@ def test_engine_agrees_with_oracle(inst):
     heavy = dag.weights >= HEAVY
     g = dag.graph
     hmin = _tight_min_heavy_all(GeodesicDag(g, dag.weights, x, dag.dist), heavy)
-    brute = min(sum(f.times[e] >= HEAVY for e in p.edges()) for p in truth.paths)
+    brute = min(sum(f.time(e) >= HEAVY for e in p.edges()) for p in truth.paths)
     assert hmin[g.vindex[y]] == brute

@@ -56,7 +56,7 @@ def test_large_edges_consistency_with_pattern_counts():
         w = graph.sample_weights(ATOMS12, r["seed"])
         f = graph.field_from(w)
         g = first_lex_geodesic((0, 0), (10, 0), f, graph=graph)
-        heavy = sum(1 for e in g.edges() if f.times[e] >= 2.0)
+        heavy = sum(1 for e in g.edges() if f.time(e) >= 2.0)
         assert count_occurrences(g, pat, f) <= heavy
         if len(g) == 10:  # monotone along e1: definitional identity
             assert count_occurrences(g, pat, f) == heavy

@@ -1,0 +1,178 @@
+"""The one form of an environment: a read-only array on a shared RegionGraph.
+
+Every field operation is checked against a plain edge-keyed dict kept here,
+on random boxes; sampling on a graph is checked bit for bit against the
+bare edge-list sampler; the CSV dump round-trips for d = 2..5 and refuses
+files that miss a region edge or hold an edge outside it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fppkit.distributions import DistributionSpec
+from fppkit.fields import (
+    EdgeConstraintSet,
+    RegionGraph,
+    WeightField,
+    edge_times_for,
+    sample_conditioned,
+    sample_field,
+    splice,
+)
+from fppkit.geodesics import passage_time
+from fppkit.lattice import (
+    L1Ball,
+    LatticePath,
+    ProductBox,
+    canonical_edge,
+    direction_order,
+    region_edges,
+    translate_edge,
+    vadd,
+)
+
+SPEC = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),))
+EXTENTS = {2: (4, 3), 3: (2, 2, 1)}  # boxes up to 5x4 and 3x3x2 vertices
+
+
+@st.composite
+def fields(draw):
+    """A field on a random box, its dict reference, and a random walk in it."""
+    d = draw(st.sampled_from(sorted(EXTENTS)))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(a + draw(st.integers(1 if i == 0 else 0, m)) for i, (a, m) in enumerate(zip(lo, EXTENTS[d])))
+    region = ProductBox(lo, hi)
+    edges = region_edges(region)
+    times = draw(st.lists(st.floats(0.0, 8.0), min_size=len(edges), max_size=len(edges)))
+    walk = [tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))]
+    for step in draw(st.lists(st.sampled_from(direction_order(d)), max_size=12)):
+        if region.contains(vadd(walk[-1], step)):
+            walk.append(vadd(walk[-1], step))
+    graph = RegionGraph(region)
+    return graph.field_from(np.array(times)), dict(zip(edges, times)), LatticePath(walk)
+
+
+def _matches(f: WeightField, ref: dict) -> bool:
+    return f.edges() == sorted(ref) and all(f.time(e) == t for e, t in ref.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(), st.floats(0.0, 3.0), st.data())
+def test_field_operations_match_a_dict_reference(inst, b, data):
+    f, ref, walk = inst
+    edges = sorted(ref)
+    assert _matches(f, ref)
+    for u, v in edges:
+        assert type(f.time((v, u))) is float and f.time((v, u)) == ref[(u, v)]
+    total = 0.0
+    for a, c in zip(walk.vertices, walk.vertices[1:]):
+        total += ref[canonical_edge(a, c)]
+    assert type(f.path_time(walk)) is float and f.path_time(walk) == total
+
+    assert _matches(f.shift(b), {e: t + b for e, t in ref.items()})
+    picked = data.draw(st.lists(st.sampled_from(edges), unique=True))
+    new = {e: 0.5 + i for i, e in enumerate(picked)}
+    assert _matches(f.replaced({(v, u): t for (u, v), t in new.items()}), {**ref, **new})
+
+    x = data.draw(st.tuples(*[st.integers(-4, 4)] * f.region.dim))
+    moved = f.translate(x)
+    assert _matches(moved, {translate_edge(e, x): t for e, t in ref.items()})
+    assert np.shares_memory(moved.w, f.w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields(), st.data())
+def test_splice_and_sub_region_gather_match_a_dict_reference(inst, data):
+    f, ref, _ = inst
+    lo, hi = f.region.lo, f.region.hi
+    # a donor on another box that overlaps this one
+    shift = data.draw(st.tuples(*[st.integers(-1, 1)] * len(lo)))
+    donor_region = ProductBox(tuple(a + s for a, s in zip(lo, shift)), tuple(b + s + 1 for b, s in zip(hi, shift)))
+    donor = sample_field(donor_region, SPEC, data.draw(st.integers(0, 99)))
+    shared = sorted(set(ref) & set(donor.edges()))
+    picked = data.draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []
+    spliced = splice(f, donor, picked)
+    assert _matches(spliced, {**ref, **{e: donor.time(e) for e in picked}})
+    assert _matches(splice(f, f.shift(1.0), picked), {**ref, **{e: ref[e] + 1.0 for e in picked}})
+
+    sub = ProductBox(tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi)), hi)
+    got = RegionGraph(sub).weights_of(f)
+    assert got.tolist() == [ref[e] for e in region_edges(sub)]
+    if sub != f.region:
+        with pytest.raises(KeyError):
+            f.graph.weights_of(RegionGraph(sub).field_from(got))
+
+
+def test_field_from_is_a_read_only_view():
+    graph = RegionGraph(ProductBox((0, 0), (3, 2)))
+    w = graph.sample_weights(SPEC, 4)
+    f = graph.field_from(w, seed=4)
+    assert np.shares_memory(graph.weights_of(graph.field_from(w)), w)
+    assert graph.weights_of(f) is f.w and f.seed == 4 and f.region == graph.region
+    with pytest.raises(ValueError):
+        f.w[0] = 1.0
+    with pytest.raises(ValueError):
+        graph.field_from(w[:-1])
+
+
+def test_edges_outside_the_field_fail_loudly():
+    f = sample_field(ProductBox((0, 0), (2, 2)), SPEC, 1)
+    outside = ((2, 2), (3, 2))
+    with pytest.raises(KeyError):
+        f.time(outside)
+    with pytest.raises(KeyError, match="outside the field"):
+        passage_time(LatticePath([(1, 2), (2, 2), (3, 2)]), f)
+    with pytest.raises(KeyError):
+        f.replaced({outside: 1.0})
+    with pytest.raises(ValueError, match="outside the base field"):
+        splice(f, f, [outside])
+    assert f.graph.edge_id(outside) == -1
+    assert f.graph.edge_ids([((0, 0), (2, 0)), ((1, 0), (0, 0))]).tolist() == [-1, f.graph.edge_id(((0, 0), (1, 0)))]
+
+
+@pytest.mark.parametrize("region", [ProductBox((-2, -1), (3, 2)), L1Ball((0, 1, 0), 3)])
+def test_graph_sampling_equals_edge_list_sampling(region):
+    graph = RegionGraph(region)
+    picked = graph.edges[::3]
+    cons = EdgeConstraintSet({e: ((1.2, 1.7) if i % 2 else (0.0, 0.0)) for i, e in enumerate(picked)})
+    for seed in (0, 7, 2**63 + 5):
+        for c in (None, cons):
+            w = graph.sample_weights(SPEC, seed, c)
+            assert w.tobytes() == edge_times_for(graph.edges, SPEC, seed, c).tobytes()
+        assert sample_field(region, SPEC, seed).w.tobytes() == graph.sample_weights(SPEC, seed).tobytes()
+        assert sample_conditioned(region, SPEC, cons, seed).w.tobytes() == w.tobytes()
+    with pytest.raises(ValueError, match="zero mass"):
+        graph.sample_weights(SPEC, 0, EdgeConstraintSet({picked[0]: (0.5, 0.9)}))
+    with pytest.raises(KeyError, match="outside the sampled region"):
+        graph.sample_weights(SPEC, 0, EdgeConstraintSet({((90,) * region.dim, (91,) + (90,) * (region.dim - 1)): (1.0, 2.0)}))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_field_csv_round_trip_in_every_dimension(tmp_path, d):
+    region = ProductBox((0,) * d, (2, 1) + (1,) * (d - 2))
+    f = sample_field(region, SPEC, 30 + d)
+    path = tmp_path / "field.csv"
+    f.to_csv(str(path))
+    header = path.read_text().splitlines()[0].split(",")
+    assert len(header) == 2 * d + 1
+    if d <= 4:
+        assert header[:d] == [f"e{a}" for a in "xyzw"[:d]]
+    g = WeightField.from_csv(str(path), region)
+    assert g.edges() == f.edges() and g.w.tobytes() == f.w.tobytes()
+
+
+def test_field_csv_refuses_missing_and_outside_edges(tmp_path):
+    region = ProductBox((0, 0), (2, 1))
+    path = tmp_path / "field.csv"
+    sample_field(region, SPEC, 3).to_csv(str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:3] + lines[4:]))
+    with pytest.raises(ValueError, match=r"region edge \(\(0, 1\), \(1, 1\)\) is missing"):
+        WeightField.from_csv(str(short), region)
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join(lines) + "2,1,3,1,1.5\n")
+    with pytest.raises(ValueError, match=r"edge \(\(2, 1\), \(3, 1\)\) lies outside the region"):
+        WeightField.from_csv(str(extra), region)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fppkit.distributions import DistributionSpec
@@ -17,7 +18,7 @@ from fppkit.geodesics import (
     passage_time,
     restricted_geodesic_time,
 )
-from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1, region_edges
+from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1
 from fppkit.oracle import exact_optimal_set, floyd_warshall_times
 from fppkit.patterns import obstruction_pattern, atom_square_pattern
 
@@ -228,15 +229,10 @@ def test_geodesic_time_certification():
     ct = geodesic_time((0, 0), (4, 0), f)
     assert ct.value == 8.0 and ct.certified
     # cheap corridor hugging the boundary: certification must refuse
-    corridor = {}
-    ball = L1Ball((2, 0), 6)
-    for e in region_edges(ball):
-        # cheap ring at l1 radius >= 5, expensive interior
-        on_rim = min(l1(e[0], (2, 0)), l1(e[1], (2, 0))) >= 5
-        corridor[e] = 0.05 if on_rim else 10.0
-    from fppkit.fields import WeightField
-
-    fc = WeightField(ball, corridor)
+    graph = RegionGraph(L1Ball((2, 0), 6))
+    # cheap ring at l1 radius >= 5, expensive interior
+    on_rim = [min(l1(e[0], (2, 0)), l1(e[1], (2, 0))) >= 5 for e in graph.edges]
+    fc = graph.field_from(np.where(on_rim, 0.05, 10.0))
     with pytest.raises(RegionTooSmall):
         geodesic_time((0, 0), (4, 0), fc)
 

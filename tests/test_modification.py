@@ -266,7 +266,7 @@ def test_bounded_first_stage_and_plan_structure():
         assert stage1.e_star_plus <= set(gamma.edges())
         for e in stage1.e_star_plus:
             assert b3.contains_edge(e) and not b2.contains_edge(e)
-            assert f.times[e] > cs.rho + cs.delta
+            assert f.time(e) > cs.rho + cs.delta
         assert not plan.e_pp & plan.e_pm and not plan.e_pp & plan.e_pat
         assert not plan.e_pm & plan.e_pat
         assert not plan.e_star_plus & (plan.e_pp | plan.e_pm | plan.e_pat)
@@ -321,6 +321,26 @@ def test_bounded_verify_full_clause_run():
                 assert c.passed, c
         passed_any = passed_any or rep.all_passed
     assert passed_any  # the small-scale geometry verifies end to end
+
+
+def test_bounded_plan_and_verify_build_no_graph_on_a_shared_one(monkeypatch):
+    family, cs, region, box, x, mu, instances = _bounded_instances(1)
+    assert instances
+    f, gamma, stage1, _, plan, graph = instances[0]
+    donor1 = graph.field_from(graph.sample_weights(ORIENT_SPEC, 1000 + f.seed, stage1.target1))
+    donor2 = graph.field_from(graph.sample_weights(ORIENT_SPEC, 1, plan.target2))
+    built = []
+    init = RegionGraph.__init__
+
+    def counted(self, region):
+        built.append(region)
+        init(self, region)
+
+    monkeypatch.setattr(RegionGraph, "__init__", counted)
+    assert build_plan_bounded(f, stage1, donor1, family, cs, mu).anchors == plan.anchors
+    rep, star, dstar = verify_modification_bounded(plan, f, donor1, donor2, x, cs, cap=16, mu_oracle=mu)
+    assert built == []
+    assert star.graph is graph and dstar.graph is graph and rep.clauses
 
 
 def test_bounded_verify_tampering_gate():

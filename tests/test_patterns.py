@@ -90,7 +90,8 @@ def test_condition_holds_av_pattern():
     region = ProductBox((0, 0), (4, 1))
     f = constant_field(region, 1.0).replaced({((2, 0), (3, 0)): 5.0})
     g = LatticePath([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-    assert condition_holds((2, 0), g, pat, f) is not None
+    hit = condition_holds((2, 0), g, pat, f)
+    assert (hit.translate, hit.entry_index, hit.exit_index) == ((2, 0), 2, 3)
     assert condition_holds((1, 0), g, pat, f) is None  # event fails there
     assert count_occurrences(g, pat, f) == 1
 
@@ -146,12 +147,12 @@ def test_inner_optimal_paths_requires_event():
 
 def test_two_route_bounded_geometry_and_times():
     pat = two_route_pattern_bounded(4, 2, [1.0] * 8, [2.0] * 4)
-    assert pat._alpha == 5
+    assert pat.alpha == 5
     vs = list(pat.region.vertices())
     assert max(v[0] for v in vs) == 20 and max(v[1] for v in vs) == 10
     assert sum([1.0] * 8) == sum([2.0] * 4)  # equal route sums
     f = sample_conditioned(pat.region, ATOMS12, pat.event, 0)
-    plus, pp = pat._routes
+    plus, pp = pat.routes
     assert f.path_time(plus) == 40.0 and f.path_time(pp) == 40.0
     t, dag = restricted_geodesic_time(pat.u_end, pat.v_end, f, region=pat.region)
     assert t == 40.0
@@ -182,7 +183,7 @@ def test_two_route_unbounded_two_optima():
     res = exact_optimal_set(pat.u_end, pat.v_end, pat.region, f)
     assert res.optimum == 6.0
     assert sorted(p.vertices for p in res.paths) == sorted(
-        p.vertices for p in pat._routes
+        p.vertices for p in pat.routes
     )
 
 
@@ -249,7 +250,7 @@ def test_enlarge_to_cube_identity_like_case():
     # the atom square is corner-anchored; enlarging embeds it in the radius-1 cube
     cube = enlarge_to_cube(pat, m_cap=1.0)
     assert cube.region.radius == 1
-    pu, pv = cube._connectors
+    pu, pv = cube.connectors
     assert len(pu) + len(pv) <= 4
 
 
@@ -322,7 +323,7 @@ def test_two_route_bounded_extremal_gap():
     pat = two_route_pattern_bounded(4, 2, [1.0] * 8, [2.0] * 4)
     f = sample_conditioned(pat.region, ATOMS12, pat.event, 0)
     ext = extreme_length_geodesics(pat.u_end, pat.v_end, f, region=pat.region)
-    alpha = pat._alpha
+    alpha = pat.alpha
     assert ext.exact
     assert ext.lmin == alpha * 4
     assert ext.gap == 2 * alpha * 2
