@@ -19,7 +19,7 @@ print("derived-scale radii would be", (cs.r1, cs.r2, cs.r3),
 # no-fast-pair clause only becomes probable once (r2 - r1) N is large,
 # which is exactly why the derived radii dwarf desk scale
 box = fpp.BoxScale((0, 0), 2, (1, 2, 16), "unbounded")
-n_b2 = len(fpp.region_edges(box.ball(2)))
+n_b2 = len(fpp.RegionGraph(box.ball(2)).edges)
 nu_N = 1.6 * n_b2
 rates = {1: 0, 2: 0, 3: 0}
 for seed in range(40):

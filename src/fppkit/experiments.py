@@ -23,7 +23,7 @@ from .geodesics import (
     estimate_time_constant,
     first_lex_geodesic,
 )
-from .lattice import LatticePath, ProductBox, Vertex, l1, region_edges, vscale
+from .lattice import LatticePath, ProductBox, Vertex, l1, vscale
 from .modification import (
     PlanError,
     build_plan_unbounded,
@@ -258,7 +258,7 @@ def run_typical_rate(
         graph = RegionGraph(box.outer)
         nu_N = None
         if regime == "unbounded":
-            n_edges = len(region_edges(box.ball(2)))
+            n_edges = len(RegionGraph(box.ball(2)).edges)
             from .renormalization import estimate_nu
 
             nu_N = estimate_nu(spec, n_edges, derive_seed(seed, "nu", N))
@@ -332,14 +332,13 @@ def run_modification_demo_unbounded(
         tuple(min(0, c) - pad for c in x), tuple(max(0, c) + pad for c in x)
     )
     graph = RegionGraph(region)
-    n_b2 = len(region_edges(box.ball(2)))
+    b2, b3, b1 = box.ball(2), box.outer, box.ball(1)
+    b2_edges = RegionGraph(b2).edges
     from .renormalization import estimate_nu
 
-    nu_N = max(estimate_nu(spec, n_b2, derive_seed(seed, "nu", N)), m_cap * len(region_edges(cube_pat.region)) + 2.0)
+    nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * len(RegionGraph(cube_pat.region).edges) + 2.0)
     rho = spec.rho
     zero = (0,) * d
-    b2, b3, b1 = box.ball(2), box.outer, box.ball(1)
-    b2_edges = region_edges(b2)
     out: list[DemoInstance] = []
     attempts = 0
     gate_fail = 0

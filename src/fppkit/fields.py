@@ -97,10 +97,16 @@ def _checked(edges: list[Edge], ids: np.ndarray, error: type, message: str) -> n
 
 
 def _edge_arrays(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    """Packed keys of canonical edges."""
+    """Packed keys of edges given in either endpoint order; ValueError names
+    the first pair that is not two lattice neighbours."""
     ends = np.fromiter(chain.from_iterable(u + v for u, v in edges), np.int64)
     ends = ends.reshape(len(edges), 2, -1)
-    return pack_edge_keys(ends[:, 0], np.argmax(ends[:, 1] != ends[:, 0], axis=1))
+    step = ends[:, 1] - ends[:, 0]
+    bad = np.flatnonzero(np.abs(step).sum(axis=1) != 1)
+    if len(bad):
+        raise ValueError("{} and {} are not lattice neighbors".format(*edges[bad[0]]))
+    # the endpoints differ on one axis only, so their minimum is the lower one
+    return pack_edge_keys(ends.min(axis=1), np.argmax(step != 0, axis=1))
 
 
 def edge_times_for(
@@ -111,14 +117,16 @@ def edge_times_for(
 ) -> np.ndarray:
     """Per-edge times, one counter-based stream per canonical edge.
 
-    Constrained edges are sampled from the law conditioned to their
-    interval via the inverse CDF on the same per-edge uniform, so adding a
-    constraint never perturbs other edges.  For the edges of a region,
-    `RegionGraph.sample_weights` gives the same array from cached keys.
+    Edges may be given in either endpoint order; a pair that is not two
+    lattice neighbours raises ValueError.  Constrained edges are sampled
+    from the law conditioned to their interval via the inverse CDF on the
+    same per-edge uniform, so adding a constraint never perturbs other
+    edges.  For the edges of a region, `RegionGraph.sample_weights` gives
+    the same array from cached keys.
     """
 
     def locate(es: list[Edge]) -> np.ndarray:
-        index = {e: i for i, e in enumerate(edges)}
+        index = {(u, v) if u <= v else (v, u): i for i, (u, v) in enumerate(edges)}
         return np.array([index.get(e, -1) for e in es], dtype=np.intp)
 
     return _sample(spec, seed, _edge_arrays(edges), constraints, locate)
@@ -170,6 +178,14 @@ class RegionGraph:
         step = self.coords[hi] - self.coords[lo]
         ids = self._eid[lo, np.argmax(step, axis=1)]
         return np.where((lo >= 0) & (np.abs(step).sum(axis=1) == 1), ids, -1)
+
+    def edges_within(self, region: Region) -> list[Edge]:
+        """The edges of a sub-region, in its own edge order, read off this
+        index; every vertex of the sub-region must lie in this region."""
+        inside = np.zeros(self.n, dtype=bool)
+        inside[[self.vindex[v] for v in region.vertices()]] = True
+        lower, upper = self._ends
+        return [self.edges[i] for i in np.flatnonzero(inside[lower] & inside[upper]).tolist()]
 
     def boundary_indices(self) -> frozenset[int]:
         """Vertices with a lattice neighbour outside the region."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import RegionGraph, WeightField
-from .lattice import LatticePath, Region, Vertex, l1, region_boundary, vscale
+from .lattice import LatticePath, Region, Vertex, l1, vscale
 from .rng import derive_seed
 
 REL_TOL = 1e-9  # tightness tolerance for continuous weights (float summation order)
@@ -390,7 +390,7 @@ def geodesic_time(
         if rho <= 0:
             raise RegionTooSmall("zero weights present: supply an explicit margin")
         margin = 2.0 * t / rho
-    boundary = region_boundary(region)
+    boundary = [dag.graph.vertices[i] for i in dag.graph.boundary_indices()]
     available = min(l1(x, b) + l1(b, y) for b in boundary) if boundary else math.inf
     certified = available >= margin and rho * available > t
     if not certified:

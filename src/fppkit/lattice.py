@@ -223,7 +223,8 @@ def cut_loops(path: LatticePath) -> LatticePath:
 
 @dataclass(frozen=True)
 class Region:
-    """Finite vertex set on Z^d; edges are pairs with both endpoints inside."""
+    """Finite vertex set on Z^d; edges are pairs with both endpoints inside.
+    `fields.RegionGraph` lists a region's edges and finds its boundary."""
 
     def contains(self, v: Vertex) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -350,7 +351,7 @@ class Annulus(Region):
         rad = self.outer_norm - 1
         lo = tuple(-rad for _ in range(self.dim))
         hi = tuple(rad for _ in range(self.dim))
-        return (v for v in _box_vertices(lo, hi) if self.contains(v))
+        return (v for v in _box_vertices(lo, hi) if self.inner_norm <= l1(v) < self.outer_norm)
 
 
 def translate(obj, x: Vertex):
@@ -368,29 +369,6 @@ def translate(obj, x: Vertex):
     if isinstance(obj, tuple):
         return vsub(obj, x)  # a vertex
     raise TypeError(f"cannot translate {type(obj).__name__}")
-
-
-def region_boundary(region: Region) -> set[Vertex]:
-    """Vertices of the region with at least one neighbor outside it."""
-    return {
-        v
-        for v in region.vertices()
-        if any(not region.contains(w) for w in neighbors(v))
-    }
-
-
-def region_edges(region: Region) -> list[Edge]:
-    """Edges with both endpoints in the region, in deterministic order."""
-    out = []
-    for v in region.vertices():
-        for axis in range(len(v)):
-            w = list(v)
-            w[axis] += 1
-            w = tuple(w)
-            if region.contains(w):
-                out.append((v, w))
-    out.sort()
-    return out
 
 
 def box_containing(vertices: Iterable[Vertex], pad: int = 0) -> ProductBox:

@@ -40,7 +40,6 @@ from .lattice import (
     l1,
     linf,
     monotone_path,
-    region_edges,
     unit,
     vadd,
     vneg,
@@ -327,7 +326,7 @@ def _validate_connector(pi, pi_u, pi_v, u, v, center, lam, N, r2, u_end, v_end, 
     on_rim = [z for z in pi.vertices if l1(z, center) == m]
     if set(on_rim) != {u, v}:
         raise PlanError("connector touches the B2 boundary off its endpoints")
-    K = len(region_edges(LInfBall((0,) * d, lam + 3)))
+    K = len(RegionGraph(LInfBall((0,) * d, lam + 3)).edges)
     if len(pi_u) + len(pi_v) > 2 * r2 * N + K:
         raise PlanError("connector legs exceed the length bound")
 
@@ -386,7 +385,7 @@ class PlanUnbounded:
     delta_prime: float
 
     def splice_edges(self) -> list[Edge]:
-        return region_edges(self.box.ball(2))
+        return RegionGraph(self.box.ball(2)).edges
 
     def dump(self) -> str:
         return "\n".join(
@@ -431,9 +430,7 @@ def build_plan_unbounded(
     pi_edges = set(pi.edges())
     cube_edges = {e for e in pi_edges if cube.contains_edge(e)}
     e_minus = frozenset(pi_edges - cube_edges)
-    all_b2 = set(region_edges(b2))
-    cube_all = {e for e in all_b2 if cube.contains_edge(e)}
-    e_plus = frozenset(all_b2 - cube_all - pi_edges)
+    e_plus = frozenset(set(RegionGraph(b2).edges) - set(RegionGraph(cube).edges) - pi_edges)
     nu_val = nu_N if nu_N is not None else constants.nu_of_N.get(box.N)
     if nu_val is None:
         raise PlanError(f"no nu(N) for N={box.N}")
@@ -796,7 +793,7 @@ def build_plan_bounded(
     if oriented is None:
         raise PlanError(f"no oriented pattern for direction {axis + 1}")
     cube = LInfBall(c_pat, oriented.l0)
-    e_pat = frozenset(region_edges(cube))
+    e_pat = frozenset(graph.edges_within(cube))
     sign = 1 if signed_axis > 0 else -1
     u3 = vadd(c_pat, unit(d, axis, -sign * oriented.l0))
     v3 = vadd(c_pat, unit(d, axis, sign * oriented.l0))
@@ -810,7 +807,7 @@ def build_plan_bounded(
     nu = constants.m_pattern  # the bounded cap nu fixed with the oriented pattern
     e_pm = frozenset(
         e
-        for e in region_edges(b2)
+        for e in graph.edges_within(b2)
         if f.time(e) < nu
         and e not in e_pat
         and e not in highway

@@ -4,7 +4,9 @@ Three independent routes, deliberately different from the engine:
   * a lexicographic DFS stream of all self-avoiding paths,
   * branch-and-bound optimal-path search pruned only by rho * l1 distance,
   * Floyd-Warshall min-plus closure for all-pairs optimum values.
-None of them shares code with the Dijkstra/DAG machinery they check.
+None of them shares code with the Dijkstra/DAG machinery they check, and
+`region_edges` lists a region's edges by membership tests, apart from the
+vectorised index in `RegionGraph`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .fields import WeightField
 from .lattice import (
+    Edge,
     LatticePath,
     Region,
     Vertex,
@@ -25,7 +28,6 @@ from .lattice import (
     direction_order,
     l1,
     vadd,
-    region_edges,
 )
 
 ADVISORY_EDGE_LIMIT = 60
@@ -154,6 +156,21 @@ def exact_optimal_set(
     if not best_paths:
         raise ValueError("endpoints disconnected in region")
     return OracleResult(best, [LatticePath(p) for p in best_paths], nodes)
+
+
+def region_edges(region: Region) -> list[Edge]:
+    """Edges with both endpoints in the region, sorted: one membership
+    test per candidate upper endpoint."""
+    out = []
+    for v in region.vertices():
+        for axis in range(len(v)):
+            w = list(v)
+            w[axis] += 1
+            w = tuple(w)
+            if region.contains(w):
+                out.append((v, w))
+    out.sort()
+    return out
 
 
 def floyd_warshall_times(region: Region, f: WeightField) -> tuple[list[Vertex], np.ndarray]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
-from .fields import EdgeConstraintSet, WeightField, constraint_probability
+from .fields import EdgeConstraintSet, RegionGraph, WeightField, constraint_probability
 from .geodesics import GeodesicDag, GeodesicSet, _resolve, dijkstra, enumerate_geodesics
 from .lattice import (
     Edge,
@@ -24,12 +24,11 @@ from .lattice import (
     ProductBox,
     Region,
     Vertex,
+    box_containing,
     canonical_edge,
     direction_order,
     l1,
     monotone_path,
-    region_boundary,
-    region_edges,
     straight_path,
     unit,
     vadd,
@@ -56,11 +55,12 @@ class Pattern:
     def __post_init__(self):
         if self.u_end == self.v_end:
             raise ValueError("endpoints must be distinct")
-        boundary = region_boundary(self.region)
-        if self.u_end not in boundary or self.v_end not in boundary:
+        graph = RegionGraph(self.region)
+        boundary = graph.boundary_indices()
+        if any(graph.vindex.get(z) not in boundary for z in (self.u_end, self.v_end)):
             raise ValueError("endpoints must lie on the support boundary")
-        support = set(region_edges(self.region))
-        bad = [e for e in self.event.constraints if e not in support]
+        edges = list(self.event.constraints)
+        bad = [e for e, i in zip(edges, graph.edge_ids(edges).tolist()) if i < 0]
         if bad:
             raise ValueError(f"event constrains edges outside the support: {bad[:3]}")
 
@@ -69,12 +69,10 @@ class Pattern:
         return self.region.dim
 
     def serialize(self) -> str:
-        vs = list(self.region.vertices())
-        lo = tuple(min(v[i] for v in vs) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in vs) for i in range(self.dim))
+        box = box_containing(self.region.vertices())
         cons = sorted((e, lo_, hi_) for e, (lo_, hi_) in self.event.constraints.items())
         return (
-            f"dims={tuple(zip(lo, hi))!r}; u={self.u_end!r}; v={self.v_end!r}; "
+            f"dims={tuple(zip(box.lo, box.hi))!r}; u={self.u_end!r}; v={self.v_end!r}; "
             f"constraints={cons!r}"
         )
 
@@ -115,9 +113,10 @@ class OrientedPattern:
 def external_normals(z: Vertex, region: Region) -> set[Vertex]:
     """All +-e_i with z + e outside the region (z must be on the boundary)."""
     z = tuple(z)
-    if z not in region_boundary(region):
+    normals = {step for step in direction_order(len(z)) if not region.contains(vadd(z, step))}
+    if not (normals and region.contains(z)):
         raise ValueError(f"{z} is not on the region boundary")
-    return {step for step in direction_order(len(z)) if not region.contains(vadd(z, step))}
+    return normals
 
 
 def has_distinct_normal_pair(p: Pattern) -> bool:
@@ -234,10 +233,7 @@ def inner_optimal_paths(p: Pattern, f: WeightField, cap: int = 10_000) -> Geodes
 def _constrain_all(
     region: Region, special: dict[Edge, tuple[float, float]], default: tuple[float, float]
 ) -> EdgeConstraintSet:
-    cons = {}
-    for e in region_edges(region):
-        cons[e] = special.get(e, default)
-    return EdgeConstraintSet(cons)
+    return EdgeConstraintSet({e: special.get(e, default) for e in RegionGraph(region).edges})
 
 
 def obstruction_pattern() -> Pattern:
@@ -245,10 +241,7 @@ def obstruction_pattern() -> Pattern:
     same face, edges adjacent to an endpoint at 4, every other edge at 1."""
     region = ProductBox((0, 0), (1, 3))
     u, v = (0, 2), (0, 1)
-    special: dict[Edge, tuple[float, float]] = {}
-    for e in region_edges(region):
-        if u in e or v in e:
-            special[e] = (4.0, 4.0)
+    special = {e: (4.0, 4.0) for e in RegionGraph(region).edges if u in e or v in e}
     return Pattern(region, u, v, _constrain_all(region, special, (1.0, 1.0)), "obstruction")
 
 
@@ -418,9 +411,10 @@ def shift_concavity_properties(p: Pattern, f: WeightField, cap: int = 4096) -> t
     opt = GeodesicDag.between(graph, w, p.u_end, p.v_end).geodesics(cap)
     p1 = (not opt.truncated) and len(opt.paths) == 1 and opt.paths[0] == plus
 
-    outer = [graph.vindex[v] for v in region_boundary(p.region)]
+    outer = graph.boundary_indices()
+    inner_graph = RegionGraph(inner)
     p2 = True
-    for w1 in region_boundary(inner):
+    for w1 in (inner_graph.vertices[i] for i in inner_graph.boundary_indices()):
         # max over monotone (= l1-optimal, they stay in the block's hull)
         # paths from w1 to any block vertex
         best: dict[Vertex, float] = {w1: 0.0}
@@ -498,11 +492,9 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     a wall above |cube|_e * m_cap, so any inner-optimal path between the
     cube poles must traverse the original pattern.
     """
-    vs = list(p.region.vertices())
-    lam = max(max(abs(v[i]) for v in vs) for i in range(p.dim))
+    box = box_containing(p.region.vertices())
+    lam = max(map(abs, box.lo + box.hi))
     cube = LInfBall((0,) * p.dim, lam)
-    if not all(cube.contains(v) for v in vs):
-        raise ValueError("pattern support does not fit the centered cube")
 
     def connector(z: Vertex) -> LatticePath:
         for step in direction_order(p.dim):
@@ -517,10 +509,11 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     pv = connector(p.v_end)
     if set(pu.vertices) & set(pv.vertices):
         raise AssertionError("connectors intersect")
-    cube_edges = region_edges(cube)
+    cube_edges = RegionGraph(cube).edges
+    support_edges = RegionGraph(p.region).edges
     wall = len(cube_edges) * m_cap
     cons: dict[Edge, tuple[float, float]] = {}
-    kept = set(region_edges(p.region)) | set(pu.edges()) | set(pv.edges())
+    kept = set(support_edges) | set(pu.edges()) | set(pv.edges())
     for e in cube_edges:
         if e not in kept:
             cons[e] = (wall + 1.0, math.inf)
@@ -530,7 +523,7 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
         if lo > m_cap:
             raise ValueError(f"m_cap={m_cap} lies below the event floor {lo} on {e}")
         cons[e] = (lo, min(hi, m_cap))
-    for e in region_edges(p.region):
+    for e in support_edges:
         if e not in cons:
             cons[e] = (0.0, m_cap)
     return Pattern(
@@ -563,8 +556,8 @@ def orient_pattern(
         raise ValueError("no admissible nu0: zero mass on [nu0, nu]")
     if nu0 - rho - 2 * delta_p <= 0:
         raise ValueError("delta' too large: need delta' < (nu0 - rho)/2")
-    vs = list(p.region.vertices())
-    lam = max(max(abs(v[i]) for v in vs) for i in range(d))
+    box = box_containing(p.region.vertices())
+    lam = max(map(abs, box.lo + box.hi))
     l1c = math.floor(4 * d * lam * (nu0 - rho - delta_p / 2) / (nu0 - rho - delta_p)) + 1
     l0 = (
         math.floor(
@@ -613,10 +606,10 @@ def orient_pattern(
         raise AssertionError("guiding path is not self-avoiding")
 
     cube = LInfBall((0,) * d, l0)
-    support_edges = set(region_edges(p.region))
+    support_edges = set(RegionGraph(p.region).edges)
     guide_edges = set(guide.edges())
     cons: dict[Edge, tuple[float, float]] = {}
-    for e in region_edges(cube):
+    for e in RegionGraph(cube).edges:
         if e in support_edges:
             lo_, hi_ = p.event.constraints.get(e, (0.0, math.inf))
             cons[e] = (lo_, min(hi_, nu0))

@@ -19,10 +19,11 @@ from .geodesics import GeodesicDag, RegionGraph, _resolve, dijkstra
 from .lattice import (
     LatticePath,
     L1Ball,
+    LInfBall,
     Region,
     Vertex,
+    box_containing,
     l1,
-    region_edges,
     vscale,
 )
 from .patterns import OrientedPattern, Pattern, pattern_hits
@@ -232,11 +233,9 @@ def derive_constants(
     r1 = d
     if regime == "unbounded":
         base = pattern if isinstance(pattern, Pattern) else pattern.pattern
-        vs = list(base.region.vertices())
-        lam = max(max(abs(v[i]) for v in vs) for i in range(d))
-        from .lattice import LInfBall
-
-        K_edges = len(region_edges(LInfBall((0,) * d, lam + 3)))
+        box = box_containing(base.region.vertices())
+        lam = max(map(abs, box.lo + box.hi))
+        K_edges = len(RegionGraph(LInfBall((0,) * d, lam + 3)).edges)
         m_pat = _pattern_cap(spec, base)
         tau = m_pat * l1(base.u_end, base.v_end)
         # minimal integer r2 with r2 delta - r1(rho+delta) - K rho - tau > 0
@@ -255,7 +254,7 @@ def derive_constants(
         )
         nu = {}
         for N in N_list:
-            n_edges = len(region_edges(L1Ball((0,) * d, r2 * N)))
+            n_edges = len(RegionGraph(L1Ball((0,) * d, r2 * N)).edges)
             nu[N] = max(estimate_nu(spec, n_edges, derive_seed(seed, "nuN", N)), m_pat + 1.0)
         return replace(cs, nu_of_N=nu)
     # bounded regime
@@ -264,12 +263,12 @@ def derive_constants(
     if isinstance(pattern, OrientedPattern):
         lam = pattern.l0
         nu_cap = max(hi for _, hi in pattern.pattern.event.constraints.values())
-        K_pat = len(region_edges(pattern.pattern.region))
+        K_pat = len(RegionGraph(pattern.pattern.region).edges)
     else:
-        vs = list(pattern.region.vertices())
-        lam = max(max(abs(v[i]) for v in vs) for i in range(d))
+        box = box_containing(pattern.region.vertices())
+        lam = max(map(abs, box.lo + box.hi))
         nu_cap = min(t_max, max(hi for _, hi in pattern.event.constraints.values()))
-        K_pat = len(region_edges(pattern.region))
+        K_pat = len(RegionGraph(pattern.region).edges)
     tau = 2 * lam * nu_cap
     T_pat = K_pat * (t_max - rho)
     delta_prime = min(delta / 4, delta / (1 + d))
@@ -421,7 +420,7 @@ def typicality_unbounded(
     if pair_sample is not None and pair_sample < graph.n:
         name2 += f" [subsampled {len(sources)} sources]"
     c2 = ClauseReport(name2, ok, witness)
-    total = sum(f.times_at(region_edges(b2)).tolist())
+    total = sum(f.times_at(RegionGraph(b2).edges).tolist())
     c3 = ClauseReport("(iii) B2 weight sum", total < nu_N, f"sum={total:.6g} vs nu(N)={nu_N:.6g}")
     below = constants.r2 > r2 or constants.r3 > box.radii[2]
     return TypicalityReport(box, (c1, c2, c3), below)

@@ -34,10 +34,9 @@ from fppkit.lattice import (
     cut_loops,
     l1,
     neighbors,
-    region_edges,
     translate,
 )
-from fppkit.oracle import exact_optimal_set, floyd_warshall_times
+from fppkit.oracle import exact_optimal_set, floyd_warshall_times, region_edges
 from fppkit.patterns import (
     heavy_edge_pattern,
     condition_holds,

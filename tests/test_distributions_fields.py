@@ -14,7 +14,8 @@ from fppkit.fields import (
     sample_field,
     splice,
 )
-from fppkit.lattice import L1Ball, ProductBox, region_edges
+from fppkit.lattice import L1Ball, ProductBox
+from fppkit.oracle import region_edges
 from fppkit.patterns import obstruction_pattern
 
 HALF_HALF_14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))

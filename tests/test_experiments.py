@@ -156,7 +156,8 @@ def test_shift_planted_pattern_extra_improvement():
         extreme_length_geodesics,
         restricted_geodesic_time,
     )
-    from fppkit.lattice import ProductBox, region_edges, vneg
+    from fppkit.lattice import ProductBox, vneg
+    from fppkit.oracle import region_edges
     from fppkit.patterns import condition_holds, shift_concavity_pattern
 
     spec = DistributionSpec(uniforms=((1.95, 2.05, 0.5), (2.95, 3.05, 0.5)))

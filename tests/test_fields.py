@@ -3,7 +3,9 @@
 Every field operation is checked against a plain edge-keyed dict kept here,
 on random boxes; sampling on a graph is checked bit for bit against the
 bare edge-list sampler; the CSV dump round-trips for d = 2..5 and refuses
-files that miss a region edge or hold an edge outside it.
+files that miss a region edge or hold an edge outside it.  The region index
+itself (vertices, edges, boundary, sub-region edges) is checked against the membership-test
+enumeration of `oracle.region_edges` on the four region shapes.
 """
 
 import numpy as np
@@ -23,18 +25,56 @@ from fppkit.fields import (
 )
 from fppkit.geodesics import passage_time
 from fppkit.lattice import (
+    Annulus,
     L1Ball,
     LatticePath,
+    LInfBall,
     ProductBox,
+    box_containing,
     canonical_edge,
     direction_order,
-    region_edges,
+    neighbors,
     translate_edge,
     vadd,
 )
+from fppkit.oracle import region_edges
 
 SPEC = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),))
 EXTENTS = {2: (4, 3), 3: (2, 2, 1)}  # boxes up to 5x4 and 3x3x2 vertices
+
+
+@st.composite
+def regions(draw):
+    """A box, an l1 ball, an l-inf ball or an annulus in d = 2..4, with at
+    most about 700 vertices."""
+    d = draw(st.integers(2, 4))
+    size = {2: 4, 3: 3, 4: 2}[d]
+    center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    kind = draw(st.sampled_from(["box", "l1", "linf", "annulus"]))
+    if kind == "box":
+        return ProductBox(center, tuple(c + draw(st.integers(0, size)) for c in center))
+    if kind == "l1":
+        return L1Ball(center, draw(st.integers(0, size)))
+    if kind == "linf":
+        return LInfBall(center, draw(st.integers(0, size // 2)))
+    index, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    N = draw(st.integers(1, max(1, size // (index * r))))
+    return Annulus(index, r, N, d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(regions())
+def test_region_graph_matches_membership_tests(region):
+    graph = RegionGraph(region)
+    assert graph.vertices == sorted(region.vertices())
+    assert graph.edges == region_edges(region)  # the same order, so the same summation order
+    assert all(graph.vindex[v] == i for i, v in enumerate(graph.vertices))
+    if graph.edges:
+        flipped = [(v, u) for u, v in graph.edges]
+        assert graph.edge_ids(flipped).tolist() == list(range(len(graph.edges)))
+    boundary = {v for v in graph.vertices if any(not region.contains(w) for w in neighbors(v))}
+    assert {graph.vertices[i] for i in graph.boundary_indices()} == boundary
+    assert RegionGraph(box_containing(graph.vertices, pad=1)).edges_within(region) == graph.edges
 
 
 @st.composite
@@ -130,6 +170,20 @@ def test_edges_outside_the_field_fail_loudly():
         splice(f, f, [outside])
     assert f.graph.edge_id(outside) == -1
     assert f.graph.edge_ids([((0, 0), (2, 0)), ((1, 0), (0, 0))]).tolist() == [-1, f.graph.edge_id(((0, 0), (1, 0)))]
+
+
+def test_edge_times_for_reads_either_endpoint_order_and_refuses_non_edges():
+    e, flipped, other = ((0, 0), (1, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 1))
+    for seed in (7, 8):
+        w = edge_times_for([e, other], SPEC, seed)
+        assert edge_times_for([flipped, other], SPEC, seed).tobytes() == w.tobytes()
+        cons = EdgeConstraintSet({flipped: (1.2, 1.3)})
+        got = edge_times_for([flipped, other], SPEC, seed, cons)
+        assert got.tobytes() == edge_times_for([e, other], SPEC, seed, cons).tobytes()
+        assert 1.2 <= got[0] <= 1.3 and got[1] == w[1]
+    for bad in [((0, 0), (2, 0)), ((0, 0), (0, 0)), ((0, 0), (1, 1))]:
+        with pytest.raises(ValueError, match="not lattice neighbors"):
+            edge_times_for([e, bad], SPEC, 7)
 
 
 @pytest.mark.parametrize("region", [ProductBox((-2, -1), (3, 2)), L1Ball((0, 1, 0), 3)])

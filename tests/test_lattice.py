@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fppkit.fields import RegionGraph
 from fppkit.lattice import (
     Annulus,
     L1Ball,
@@ -12,10 +13,13 @@ from fppkit.lattice import (
     l1,
     monotone_path,
     neighbors,
-    region_boundary,
-    region_edges,
     translate,
 )
+
+
+def region_boundary(region):
+    graph = RegionGraph(region)
+    return {graph.vertices[i] for i in graph.boundary_indices()}
 
 
 def random_walk(rng, start, steps):
@@ -65,15 +69,15 @@ def test_region_boundary_3x3_box():
 
 
 def test_region_edges_counts():
-    assert len(region_edges(ProductBox((0, 0), (1, 1)))) == 4
+    assert len(RegionGraph(ProductBox((0, 0), (1, 1))).edges) == 4
     # Figure-1 shaped box {0,1} x {0..3}: 4 horizontal + 6 vertical
-    assert len(region_edges(ProductBox((0, 0), (1, 3)))) == 10
-    assert len(region_edges(LInfBall((0, 0), 1))) == 12
+    assert len(RegionGraph(ProductBox((0, 0), (1, 3))).edges) == 10
+    assert len(RegionGraph(LInfBall((0, 0), 1)).edges) == 12
 
 
 def test_region_edges_both_endpoints_inside():
     ball = L1Ball((0, 0), 3)
-    for e in region_edges(ball):
+    for e in RegionGraph(ball).edges:
         assert ball.contains(e[0]) and ball.contains(e[1])
 
 

@@ -5,7 +5,7 @@ import pytest
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import sample_conditioned, splice
 from fppkit.geodesics import RegionGraph, exact_norm_oracle, first_lex_geodesic, restricted_geodesic_time
-from fppkit.lattice import LInfBall, ProductBox, l1, region_edges
+from fppkit.lattice import LInfBall, ProductBox, l1
 from fppkit.modification import (
     PlanError,
     associated_in,
@@ -19,6 +19,7 @@ from fppkit.modification import (
     verify_modification_bounded,
     verify_modification_unbounded,
 )
+from fppkit.oracle import region_edges
 from fppkit.patterns import heavy_edge_pattern, enlarge_to_cube, atom_square_pattern
 from fppkit.renormalization import BoxScale, derive_constants
 

@@ -8,9 +8,10 @@ from fppkit.fields import (
     sample_field,
 )
 from fppkit.geodesics import enumerate_geodesics, restricted_geodesic_time
-from fppkit.lattice import LatticePath, ProductBox, l1, monotone_path, region_edges
-from fppkit.oracle import exact_optimal_set, oracle_pattern_count
+from fppkit.lattice import LatticePath, LInfBall, ProductBox, l1, monotone_path
+from fppkit.oracle import exact_optimal_set, oracle_pattern_count, region_edges
 from fppkit.patterns import (
+    Pattern,
     heavy_edge_pattern,
     condition_holds,
     count_disjoint_occurrences,
@@ -41,6 +42,35 @@ def test_external_normals_corners_and_faces():
     assert external_normals((1, 0), box) == {(0, -1)}
     with pytest.raises(ValueError):
         external_normals((1, 1), box)
+
+
+def test_pattern_validation_fails_loudly():
+    box = ProductBox((0, 0), (2, 2))
+    edge = EdgeConstraintSet({((0, 0), (1, 0)): (1.0, 2.0)})
+    assert Pattern(box, (0, 0), (2, 1), edge).event is edge
+    with pytest.raises(ValueError, match="distinct"):
+        Pattern(box, (0, 0), (0, 0), edge)
+    with pytest.raises(ValueError, match="support boundary"):
+        Pattern(box, (1, 1), (2, 1), edge)  # interior endpoint
+    with pytest.raises(ValueError, match="support boundary"):
+        Pattern(box, (0, 0), (3, 1), edge)  # endpoint outside the region
+    outside = EdgeConstraintSet({((0, 0), (1, 0)): (1.0, 2.0), ((2, 2), (3, 2)): (1.0, 2.0)})
+    with pytest.raises(ValueError, match=r"outside the support: \[\(\(2, 2\), \(3, 2\)\)\]"):
+        Pattern(box, (0, 0), (2, 1), outside)
+    for z in [(3, 0), (-1, -1), (5, 5)]:
+        with pytest.raises(ValueError, match="not on the region boundary"):
+            external_normals(z, box)
+
+
+def test_pattern_build_makes_few_membership_tests(monkeypatch):
+    # the support is indexed once by RegionGraph, not probed vertex by vertex
+    calls = []
+    contains = LInfBall.contains
+    monkeypatch.setattr(LInfBall, "contains", lambda self, v: calls.append(v) or contains(self, v))
+    ball = LInfBall((0, 0), 40)
+    p = Pattern(ball, (-40, 0), (40, 0), EdgeConstraintSet({((0, 0), (1, 0)): (1.0, 2.0)}))
+    assert len(calls) <= 8
+    assert external_normals(p.u_end, ball) == {(-1, 0)} and len(calls) <= 8 + 5
 
 
 def test_obstruction_normals_single_shared_face():
@@ -333,13 +363,12 @@ def test_atom_square_on_corridor_equal_extremes():
     # both optimal routes through the square have the same length, so a
     # straight corridor through it keeps lmax = lmin
     from fppkit.geodesics import extreme_length_geodesics
-    from fppkit.lattice import region_edges as _redges
 
     region = ProductBox((-3, -1), (5, 2))
     f = constant_field(region, 1.0)
     bumps = {
         e: 5.0
-        for e in _redges(region)
+        for e in region_edges(region)
         if not (0 <= e[0][0] <= 1 and 0 <= e[0][1] <= 1 and 0 <= e[1][0] <= 1 and 0 <= e[1][1] <= 1)
         and not (e[0][1] == 0 and e[1][1] == 0)
     }

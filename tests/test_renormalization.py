@@ -5,7 +5,8 @@ import pytest
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_field, splice
 from fppkit.geodesics import exact_norm_oracle, first_lex_geodesic
-from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1, monotone_path, region_edges
+from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1, monotone_path
+from fppkit.oracle import region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
     BoxScale,
