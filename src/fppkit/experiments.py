@@ -33,6 +33,7 @@ from .patterns import Pattern, count_occurrences, enlarge_to_cube
 from .renormalization import (
     BoxScale,
     ConstantsSet,
+    _pattern_cap,
     crosses,
     derive_constants,
     typicality_bounded,
@@ -313,9 +314,7 @@ def run_modification_demo_unbounded(
     """
     if spec.is_bounded:
         raise ValueError("the unbounded demo needs an unbounded-support spec")
-    m_cap = max(
-        spec.low_representative(lo, hi) for lo, hi in base_pattern.event.constraints.values()
-    ) + 1.0
+    m_cap = _pattern_cap(spec, base_pattern) + 1.0
     cube_pat = enlarge_to_cube(base_pattern, m_cap)
     if delta is None:
         delta = calibrate_delta(spec, seed=derive_seed(seed, "cal"), d=d)

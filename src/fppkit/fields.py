@@ -12,79 +12,184 @@ index, axis) table of edge ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .lattice import Edge, Region, Vertex, canonical_edge, edge_axis, translate, translate_edge
+from .lattice import Edge, Region, Vertex, canonical_edge, edge_axis, translate
 from .rng import edge_uniforms, pack_edge_keys
 
 Interval = tuple[float, float]
 
+EVENT_TOL = 1e-9  # an edge time t meets [lo, hi] when lo - EVENT_TOL <= t <= hi + EVENT_TOL
 
-@dataclass(frozen=True)
-class EdgeConstraintSet:
-    """Conjunction of per-edge closed interval constraints [lo, hi]."""
 
-    constraints: Mapping[Edge, Interval]
+class _FrozenDict(Mapping):
+    """A read-only mapping that, unlike MappingProxyType, pickles."""
 
-    def __post_init__(self):
-        frozen = {}
-        for e, (lo, hi) in dict(self.constraints).items():
-            e = canonical_edge(*e)
-            if lo < 0 or lo > hi:
-                raise ValueError(f"bad interval [{lo}, {hi}] for edge {e}")
-            frozen[e] = (float(lo), float(hi))
-        object.__setattr__(self, "constraints", MappingProxyType(frozen))
+    def __init__(self, items: dict):
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self._items)
 
-    def __reduce__(self):  # MappingProxyType does not pickle
-        return (EdgeConstraintSet, (dict(self.constraints),))
+    def items(self):  # the dict's own view: condition_holds iterates it per translate
+        return self._items.items()
 
-    def edges(self) -> list[Edge]:
-        return sorted(self.constraints)
+
+def _edge(z: np.ndarray, axis: int) -> Edge:
+    """The edge {z, z + e_axis} as a pair of tuples of Python ints."""
+    return tuple(z.tolist()), tuple((z + np.eye(len(z), dtype=np.int64)[axis]).tolist())
+
+
+def _lower_and_axis(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower endpoints (n x d), axes, and which pairs are two lattice
+    neighbours, for vertex pairs given in either order."""
+    d = len(edges[0][0]) if edges else 1  # a 0 x 1 array broadcasts against any d
+    ends = np.fromiter(chain.from_iterable(u + v for u, v in edges), np.int64, 2 * d * len(edges))
+    ends = ends.reshape(len(edges), 2, d)
+    step = ends[:, 1] - ends[:, 0]
+    # the endpoints of an edge differ on one axis only, so their minimum is the lower one
+    return ends.min(axis=1), np.argmax(step != 0, axis=1), np.abs(step).sum(axis=1) == 1
+
+
+class EdgeConstraintSet:
+    """Conjunction of per-edge closed interval constraints [lo, hi].
+
+    Stored as read-only arrays in canonical edge order: constraint i asks
+    the edge {lower[i], lower[i] + e_axis[i]} for a time in [lo[i], hi[i]].
+    An event binds to a region, at any translate x, through
+    `RegionGraph.ids_at(lower + x, axis)`.  `constraints` is a read-only,
+    picklable edge -> interval view, built on first use; pickling an event
+    keeps only its arrays.
+    """
+
+    def __init__(self, constraints: Mapping[Edge, Interval]):
+        edges = list(constraints)
+        lower, axis, ok = _lower_and_axis(edges)
+        if not ok.all():
+            raise ValueError("{} and {} are not lattice neighbors".format(*edges[np.argmin(ok)]))
+        bounds = np.array(list(constraints.values()), dtype=np.float64).reshape(len(edges), 2)
+        self._assign(lower, axis, bounds[:, 0], bounds[:, 1])
+
+    @classmethod
+    def from_arrays(cls, lower, axis, lo, hi) -> "EdgeConstraintSet":
+        """The event [lo[i], hi[i]] on edge {lower[i], lower[i] + e_axis[i]};
+        bounds broadcast, and an edge given twice must carry one interval."""
+        event = cls.__new__(cls)
+        event._assign(lower, axis, lo, hi)
+        return event
+
+    def __reduce__(self):  # the cached views are rebuilt on first use
+        return EdgeConstraintSet.from_arrays, (self.lower, self.axis, self.lo, self.hi)
+
+    @classmethod
+    def on_graph(cls, graph: "RegionGraph", lo, hi, ids=None) -> "EdgeConstraintSet":
+        """The event on the edges ids of graph (all of them for None)."""
+        ids = np.arange(len(graph.edges)) if ids is None else np.asarray(ids, dtype=np.intp)
+        if np.any(ids < 0):
+            raise ValueError("an event edge lies outside the graph")
+        return cls.from_arrays(graph.lower[ids], graph.axis[ids], lo, hi)
+
+    def _assign(self, lower, axis, lo, hi) -> None:
+        lower, axis = np.asarray(lower, dtype=np.int64), np.asarray(axis, dtype=np.intp)
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), axis.shape) for b in (lo, hi))
+        bad = np.flatnonzero(~((lo >= 0) & (lo <= hi)))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"bad interval [{lo[i]}, {hi[i]}] for edge {_edge(lower[i], axis[i])}")
+        order = np.lexsort([-axis, *lower.T[::-1]])  # sorted (lower, upper) pairs
+        lower, axis, lo, hi = lower[order], axis[order], lo[order], hi[order]
+        repeat = (axis[1:] == axis[:-1]) & np.all(lower[1:] == lower[:-1], axis=1)
+        clash = np.flatnonzero(repeat & ((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+        if len(clash):
+            raise ValueError(f"conflicting constraints on {_edge(lower[clash[0]], axis[clash[0]])}")
+        keep = np.r_[True, ~repeat][: len(axis)]
+        for name, a in (("lower", lower), ("axis", axis), ("lo", lo), ("hi", hi)):
+            a = a[keep]
+            a.flags.writeable = False
+            setattr(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    def edge(self, i: int) -> Edge:
+        """Constraint i's edge, as tuples of Python ints."""
+        return _edge(self.lower[i], self.axis[i])
+
+    @cached_property
+    def constraints(self) -> Mapping[Edge, Interval]:
+        """Edge -> (lo, hi) in edge order, read-only.  Edges share their
+        vertex tuples and constraints one tuple per distinct interval: on the
+        215,824-edge orientation cube a tuple per key and value took 79 MB."""
+        n, d = self.lower.shape
+        ends = np.concatenate([self.lower, self.lower + np.eye(d, dtype=np.int64)[self.axis]])
+        order = np.lexsort(ends.T[::-1])
+        new = np.r_[True, np.any(ends[order][1:] != ends[order][:-1], axis=1)][: len(ends)]
+        vertex = np.empty(len(ends), dtype=np.intp)
+        vertex[order] = np.cumsum(new) - 1
+        points = [tuple(v) for v in ends[order][new].tolist()]
+        interval = np.empty(n, dtype=np.intp)
+        for k, (_, _, members) in enumerate(self.intervals):
+            interval[members] = k
+        ivs = [(lo, hi) for lo, hi, _ in self.intervals]
+        pairs = zip(vertex[:n].tolist(), vertex[n:].tolist(), interval.tolist())
+        return _FrozenDict({(points[a], points[b]): ivs[k] for a, b, k in pairs})
+
+    @cached_property
+    def intervals(self) -> list[tuple[float, float, np.ndarray]]:
+        """Each distinct interval (lo, hi), in increasing order, with the
+        positions of its constraints."""
+        iv = np.stack([self.lo, self.hi], axis=1).view(np.complex128).ravel()  # sorts by lo, then hi
+        order = np.argsort(iv, kind="stable")
+        groups = np.split(order, np.flatnonzero(iv[order][1:] != iv[order][:-1]) + 1)
+        return [(float(self.lo[g[0]]), float(self.hi[g[0]]), g) for g in groups if len(g)]
 
     def translate(self, x: Vertex) -> "EdgeConstraintSet":
         """theta_x: the constrained edges move by -x (like every object)."""
-        return EdgeConstraintSet(
-            {translate_edge(e, x): iv for e, iv in self.constraints.items()}
-        )
+        return EdgeConstraintSet.from_arrays(self.lower - np.asarray(x), self.axis, self.lo, self.hi)
 
     def merged_with(self, other: "EdgeConstraintSet") -> "EdgeConstraintSet":
-        merged = dict(self.constraints)
-        for e, iv in other.constraints.items():
-            if e in merged and merged[e] != iv:
-                raise ValueError(f"conflicting constraints on {e}")
-            merged[e] = iv
-        return EdgeConstraintSet(merged)
+        """Both events; ValueError names an edge they constrain differently."""
+        if not (len(self) and len(other)):
+            return self if len(self) else other
+        parts = zip((self.lower, self.axis, self.lo, self.hi), (other.lower, other.axis, other.lo, other.hi))
+        return EdgeConstraintSet.from_arrays(*(np.concatenate(pair) for pair in parts))
 
-    def satisfied_by(self, f: "WeightField", tol: float = 1e-9) -> bool:
-        return all(
-            lo - tol <= f.time(e) <= hi + tol for e, (lo, hi) in self.constraints.items()
-        )
+    def satisfied_by(self, f: "WeightField") -> bool:
+        """The event holds on f; KeyError names a constrained edge outside f."""
+        ids = f.graph.ids_at(self.lower, self.axis)
+        if np.any(ids < 0):
+            raise KeyError(self.edge(np.argmin(ids)))
+        t = f.w[ids]
+        return bool(np.all((self.lo - EVENT_TOL <= t) & (t <= self.hi + EVENT_TOL)))
 
 
-def _sample(spec: DistributionSpec, seed: int, keys, constraints, locate) -> np.ndarray:
-    """Per-edge times from packed edge keys; locate maps the constrained
-    edges to positions in the key arrays (-1 outside)."""
+def _sample(spec: DistributionSpec, seed: int, keys, constraints, ids) -> np.ndarray:
+    """Per-edge times from packed edge keys; ids[i] is the position of
+    constraint i in the key arrays (-1 outside).  Each distinct interval is
+    checked for mass and sampled with one conditional_ppf call."""
     u = edge_uniforms(seed, *keys)
     times = spec.ppf(u)
     if constraints is not None and len(constraints):
-        edges = list(constraints.constraints)
-        ids = _checked(edges, locate(edges), KeyError, "constrained edge {} outside the sampled region")
-        by_interval: dict[Interval, list[int]] = {}
-        for i, iv in zip(ids.tolist(), constraints.constraints.values()):
-            by_interval.setdefault(iv, []).append(i)
-        for (lo, hi), idx in by_interval.items():
-            idx_arr = np.array(idx)
-            times[idx_arr] = spec.conditional_ppf(u[idx_arr], lo, hi)
+        if np.any(ids < 0):
+            raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
+        for lo, hi, members in constraints.intervals:
+            if not spec.has_mass_in(lo, hi):
+                raise ValueError(f"constraint [{lo}, {hi}] on {constraints.edge(members[0])} has zero mass")
+            idx = ids[members]
+            times[idx] = spec.conditional_ppf(u[idx], lo, hi)
     return times
 
 
@@ -96,17 +201,25 @@ def _checked(edges: list[Edge], ids: np.ndarray, error: type, message: str) -> n
     return ids
 
 
+def _positions(keys: tuple[np.ndarray, np.ndarray], wanted: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Position in keys of each wanted key (both as pairs of packed words), -1 where absent."""
+    n = len(keys[0])
+    lo, hi = (np.concatenate(pair) for pair in zip(keys, wanted))
+    order = np.lexsort((lo, hi))  # stable: a key sorts before the wanted copies of it
+    lo, hi = lo[order], hi[order]
+    run_start = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
+    first = np.empty_like(order)
+    first[order] = order[np.maximum.accumulate(np.where(run_start, np.arange(len(order)), 0))]
+    return np.where(first[n:] < n, first[n:], -1)
+
+
 def _edge_arrays(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
     """Packed keys of edges given in either endpoint order; ValueError names
     the first pair that is not two lattice neighbours."""
-    ends = np.fromiter(chain.from_iterable(u + v for u, v in edges), np.int64)
-    ends = ends.reshape(len(edges), 2, -1)
-    step = ends[:, 1] - ends[:, 0]
-    bad = np.flatnonzero(np.abs(step).sum(axis=1) != 1)
-    if len(bad):
-        raise ValueError("{} and {} are not lattice neighbors".format(*edges[bad[0]]))
-    # the endpoints differ on one axis only, so their minimum is the lower one
-    return pack_edge_keys(ends.min(axis=1), np.argmax(step != 0, axis=1))
+    lower, axis, ok = _lower_and_axis(edges)
+    if not ok.all():
+        raise ValueError("{} and {} are not lattice neighbors".format(*edges[np.argmin(ok)]))
+    return pack_edge_keys(lower, axis)
 
 
 def edge_times_for(
@@ -124,19 +237,17 @@ def edge_times_for(
     edges.  For the edges of a region, `RegionGraph.sample_weights` gives
     the same array from cached keys.
     """
-
-    def locate(es: list[Edge]) -> np.ndarray:
-        index = {(u, v) if u <= v else (v, u): i for i, (u, v) in enumerate(edges)}
-        return np.array([index.get(e, -1) for e in es], dtype=np.intp)
-
-    return _sample(spec, seed, _edge_arrays(edges), constraints, locate)
+    keys = _edge_arrays(edges)
+    ids = None if constraints is None else _positions(keys, pack_edge_keys(constraints.lower, constraints.axis))
+    return _sample(spec, seed, keys, constraints, ids)
 
 
 class RegionGraph:
     """The edge index of a region: sorted vertices and their indices, the
-    edges in canonical order with each edge's axis, and a (vertex index,
-    axis) table of edge ids.  The arc table and the adjacency lists are
-    built on first search; the packed RNG keys on first sample."""
+    edges in canonical order with each edge's axis, a (vertex index, axis)
+    table of edge ids, and the region's bounding-box index.  The arc table
+    and the adjacency lists are built on first search; the packed RNG keys
+    on first sample."""
 
     def __init__(self, region: Region):
         self.region = region
@@ -145,8 +256,9 @@ class RegionGraph:
         d = region.dim
         self.coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, d)
         # vertex index at each point of the bounding box (one wider at the top), -1 off the region
-        rel = self.coords - self.coords.min(axis=0)
-        box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
+        self._origin = self.coords.min(axis=0)
+        rel = self.coords - self._origin
+        self._box = box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
         box[tuple(rel.T)] = np.arange(self.n)
         # the +e_a neighbours, axes reversed: edge {v, v + e_a} has rank (v, d - 1 - a) in edge order
         up = np.stack([box[tuple((rel + step).T)] for step in np.eye(d, dtype=np.int64)[::-1]], axis=1)
@@ -172,12 +284,16 @@ class RegionGraph:
 
     def edge_ids(self, edges: Iterable[Edge]) -> np.ndarray:
         """Ids of edges given in either endpoint order, -1 outside the region."""
-        get = self.vindex.get
-        ends = np.array([(get(u, -1), get(v, -1)) for u, v in edges], dtype=np.intp)
-        lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T  # vertex order is lexicographic
-        step = self.coords[hi] - self.coords[lo]
-        ids = self._eid[lo, np.argmax(step, axis=1)]
-        return np.where((lo >= 0) & (np.abs(step).sum(axis=1) == 1), ids, -1)
+        lower, axis, ok = _lower_and_axis(list(edges))
+        return np.where(ok, self.ids_at(lower, axis), -1)
+
+    def ids_at(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
+        """Ids of the edges {z, z + e_axis} for the rows z of lower, -1 where
+        that edge is not in the region."""
+        rel = lower - self._origin
+        inside = np.all((rel >= 0) & (rel < self._box.shape), axis=1)
+        v = np.where(inside, self._box[tuple(np.where(inside[:, None], rel, 0).T)], -1)
+        return np.where(v >= 0, self._eid[v, axis], -1)
 
     def edges_within(self, region: Region) -> list[Edge]:
         """The edges of a sub-region, in its own edge order, read off this
@@ -216,22 +332,21 @@ class RegionGraph:
         return [arcs[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     @cached_property
+    def lower(self) -> np.ndarray:
+        """Each edge's lower endpoint, as an (edges x d) coordinate array."""
+        return self.coords[self._ends[0]]
+
+    @cached_property
     def _packed_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        return pack_edge_keys(self.coords[self._ends[0]], self.axis)
+        return pack_edge_keys(self.lower, self.axis)
 
     def sample_weights(
         self, spec: DistributionSpec, seed: int, constraints: EdgeConstraintSet | None = None
     ) -> np.ndarray:
         """Edge times in edge order, equal to edge_times_for(self.edges, ...);
         each constraint interval must carry mass."""
-        if constraints is not None:
-            first: dict[Interval, Edge] = {}  # each interval is checked once
-            for e, iv in constraints.constraints.items():
-                first.setdefault(iv, e)
-            for (lo, hi), e in first.items():
-                if not spec.has_mass_in(lo, hi):
-                    raise ValueError(f"constraint [{lo}, {hi}] on {e} has zero mass")
-        return _sample(spec, seed, self._packed_keys, constraints, self.edge_ids)
+        ids = None if constraints is None else self.ids_at(constraints.lower, constraints.axis)
+        return _sample(spec, seed, self._packed_keys, constraints, ids)
 
     def field_from(self, w: np.ndarray, seed: int = -1) -> WeightField:
         """The field with times w (in edge order) on this graph: a read-only
@@ -365,11 +480,11 @@ def sample_conditioned(
 
 
 def constraint_probability(spec: DistributionSpec, constraints: EdgeConstraintSet) -> float:
-    """P(every constrained edge falls in its interval) = product of masses."""
-    p = 1.0
-    for lo, hi in constraints.constraints.values():
-        p *= spec.mass_in(lo, hi)
-    return p
+    """P(every constrained edge falls in its interval) = product of masses.
+    The product underflows to 0.0 on large events: test whether an event
+    is possible with `spec.has_mass_in` on each of its `intervals`."""
+    masses = ([spec.mass_in(lo, hi)] * len(g) for lo, hi, g in constraints.intervals)
+    return math.prod(chain.from_iterable(masses), start=1.0)
 
 
 def splice(base: WeightField, donor: WeightField, edges: Iterable[Edge]) -> WeightField:

@@ -7,6 +7,7 @@ can be used as dict keys and compare deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -294,6 +295,12 @@ class L1Ball(Region):
         lo = tuple(c - self.radius for c in self.center)
         hi = tuple(c + self.radius for c in self.center)
         return (v for v in _box_vertices(lo, hi) if l1(v, self.center) <= self.radius)
+
+    def edge_count(self) -> int:
+        """2d sum_{r<R} B_{d-1}(r) edges: an axis line at l1 distance s < R holds
+        2(R - s), and B_k(r) = sum_j 2^j C(k, j) C(r, j) points of Z^k lie within r."""
+        d = self.dim
+        return 2 * d * sum(2**j * math.comb(d - 1, j) * math.comb(r, j) for r in range(self.radius) for j in range(d))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .lattice import (
     vscale,
     vsub,
 )
-from .patterns import OrientedPattern, Pattern, pattern_hits
+from .patterns import OrientedPattern, Pattern, condition_holds, hits_inside
 from .renormalization import BoxScale, ConstantsSet
 
 
@@ -430,16 +430,17 @@ def build_plan_unbounded(
     pi_edges = set(pi.edges())
     cube_edges = {e for e in pi_edges if cube.contains_edge(e)}
     e_minus = frozenset(pi_edges - cube_edges)
-    e_plus = frozenset(set(RegionGraph(b2).edges) - set(RegionGraph(cube).edges) - pi_edges)
+    graph = RegionGraph(b2)
+    e_plus = frozenset(set(graph.edges) - set(RegionGraph(cube).edges) - pi_edges)
     nu_val = nu_N if nu_N is not None else constants.nu_of_N.get(box.N)
     if nu_val is None:
         raise PlanError(f"no nu(N) for N={box.N}")
-    cons: dict[Edge, tuple[float, float]] = {}
-    for e in e_plus:
-        cons[e] = (nu_val, math.inf)
-    for e in e_minus:
-        cons[e] = (0.0, constants.rho + constants.delta_prime)
-    target = EdgeConstraintSet(cons).merged_with(pattern.event.translate(vneg(center)))
+    cheap = constants.rho + constants.delta_prime
+    target = (
+        EdgeConstraintSet.on_graph(graph, nu_val, math.inf, graph.edge_ids(e_plus))
+        .merged_with(EdgeConstraintSet.on_graph(graph, 0.0, cheap, graph.edge_ids(e_minus)))
+        .merged_with(pattern.event.translate(vneg(center)))
+    )
     return PlanUnbounded(
         box, pattern, gamma, u, v, pi, pi_u, pi_v, u_end, v_end,
         e_plus, e_minus, target, nu_val, constants.delta_prime,
@@ -542,12 +543,7 @@ def verify_modification_unbounded(
     all_follow = True
     all_assoc = True
     for g in stars.paths:
-        hits = [
-            h
-            for h in pattern_hits(g, plan.pattern, star)
-            if all(b2.contains(vadd(z, h.translate)) for z in plan.pattern.region.vertices())
-        ]
-        if not hits:
+        if not hits_inside(g, plan.pattern, star, b2):
             all_hit = False
         ee = _entry_exit(g, b2)
         if ee != (plan.u, plan.v):
@@ -709,7 +705,7 @@ def first_stage_bounded(
     s1 = gamma.vertices[first_idx]
     s2 = gamma.vertices[last_idx + 1]
     c0 = next(z for z in gamma.vertices if b1.contains(z))
-    target1 = EdgeConstraintSet({e: (0.0, rho + delta_p) for e in e_star_plus})
+    target1 = EdgeConstraintSet.on_graph(f.graph, 0.0, rho + delta_p, f.graph.edge_ids(e_star_plus))
     anchors = dict(u=u, v=v, u0=u0, v0=v0, c0=c0, s1=s1, s2=s2)
     return Stage1Bounded(box, gamma, frozenset(e_star_plus), target1, anchors)
 
@@ -814,13 +810,12 @@ def build_plan_bounded(
         and not (e[0] in ball0 and e[1] in ball0)
         and not (e[0] in ballx and e[1] in ballx)
     )
-    cons2: dict[Edge, tuple[float, float]] = {}
-    for e in e_pp:
-        cons2[e] = (0.0, rho + delta_p)
-    for e in e_pm:
-        cons2[e] = (nu, constants.t_max)
     # the pattern event translated so the oriented pattern sits at c_pat
-    target2 = EdgeConstraintSet(cons2).merged_with(oriented.pattern.event.translate(vneg(c_pat)))
+    target2 = (
+        EdgeConstraintSet.on_graph(graph, 0.0, rho + delta_p, graph.edge_ids(e_pp))
+        .merged_with(EdgeConstraintSet.on_graph(graph, nu, constants.t_max, graph.edge_ids(e_pm)))
+        .merged_with(oriented.pattern.event.translate(vneg(c_pat)))
+    )
     anchors = dict(stage1.anchors)
     anchors.update(u1=u1, v1=v1, u2=u2, v2=v2, u3=u3, v3=v3, c_P=c_pat)
     return PlanBounded(
@@ -947,12 +942,7 @@ def verify_modification_bounded(
         on_legs = [i for i, z in enumerate(g.vertices) if z in seg_u_set or z in seg_v_set]
         if not on_legs or g.vertices[on_legs[0]] not in seg_u_set or g.vertices[on_legs[-1]] not in seg_v_set:
             ok_pi_order = False
-        hits = [
-            h
-            for h in pattern_hits(g, plan.oriented.pattern, dstar)
-            if h.translate == plan.c_pat
-        ]
-        if not hits:
+        if condition_holds(plan.c_pat, g, plan.oriented.pattern, dstar) is None:
             ok_pattern = False
         try:
             glue = cut_loops(

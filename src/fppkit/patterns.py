@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DistributionSpec
-from .fields import EdgeConstraintSet, RegionGraph, WeightField, constraint_probability
+from .fields import EVENT_TOL, EdgeConstraintSet, Interval, RegionGraph, WeightField, _checked
 from .geodesics import GeodesicDag, GeodesicSet, _resolve, dijkstra, enumerate_geodesics
 from .lattice import (
     Edge,
@@ -25,7 +27,6 @@ from .lattice import (
     Region,
     Vertex,
     box_containing,
-    canonical_edge,
     direction_order,
     l1,
     monotone_path,
@@ -59,10 +60,10 @@ class Pattern:
         boundary = graph.boundary_indices()
         if any(graph.vindex.get(z) not in boundary for z in (self.u_end, self.v_end)):
             raise ValueError("endpoints must lie on the support boundary")
-        edges = list(self.event.constraints)
-        bad = [e for e, i in zip(edges, graph.edge_ids(edges).tolist()) if i < 0]
-        if bad:
-            raise ValueError(f"event constrains edges outside the support: {bad[:3]}")
+        bad = np.flatnonzero(graph.ids_at(self.event.lower, self.event.axis) < 0)
+        if len(bad):
+            edges = [self.event.edge(i) for i in bad[:3]]
+            raise ValueError(f"event constrains edges outside the support: {edges}")
 
     @property
     def dim(self) -> int:
@@ -127,9 +128,10 @@ def has_distinct_normal_pair(p: Pattern) -> bool:
 
 def validate_pattern(p: Pattern, spec: DistributionSpec) -> PatternVerdict:
     """Valid iff the event has positive probability and (the support of the
-    spec is unbounded, or the endpoints carry distinct external normals)."""
-    prob = constraint_probability(spec, p.event)
-    positive = prob > 0
+    spec is unbounded, or the endpoints carry distinct external normals).
+    Positivity is decided per distinct interval: the product of masses
+    underflows on large events."""
+    positive = all(spec.has_mass_in(lo, hi) for lo, hi, _ in p.event.intervals)
     distinct = has_distinct_normal_pair(p)
     unbounded = not spec.is_bounded
     valid = positive and (unbounded or distinct)
@@ -169,7 +171,7 @@ def condition_holds(
     graph, w = f.graph, f.w
     for (a, b), (lo, hi) in p.event.constraints.items():
         eid = graph.edge_id((vadd(a, x), vadd(b, x)))  # translation keeps edges canonical
-        if eid < 0 or not (lo - 1e-9 <= w[eid] <= hi + 1e-9):
+        if eid < 0 or not (lo - EVENT_TOL <= w[eid] <= hi + EVENT_TOL):
             return None
     return PatternHit(x, i, j)
 
@@ -177,8 +179,9 @@ def condition_holds(
 def pattern_hits(
     path: LatticePath, p: Pattern, f: WeightField, require_order: bool = False
 ) -> list[PatternHit]:
-    """All hits, in path order of the entry index (scan is restricted to
-    translates that put an endpoint on the path, so it is O(|path|))."""
+    """All hits, in path order of the entry index.  The scan tries only
+    the translates that put the u-endpoint on the path, but each try finds
+    both endpoints with `index_of`, a linear search: O(|path|^2) in all."""
     candidates = {vsub(v, p.u_end) for v in path.vertices}
     hits = []
     for x in candidates:
@@ -187,6 +190,12 @@ def pattern_hits(
             hits.append(hit)
     hits.sort(key=lambda h: (h.entry_index, h.translate))
     return hits
+
+
+def hits_inside(path: LatticePath, p: Pattern, f: WeightField, region: Region) -> list[PatternHit]:
+    """The hits of p on path whose translated support lies inside region."""
+    support = list(p.region.vertices())
+    return [h for h in pattern_hits(path, p, f) if all(region.contains(vadd(v, h.translate)) for v in support)]
 
 
 def count_occurrences(
@@ -230,10 +239,22 @@ def inner_optimal_paths(p: Pattern, f: WeightField, cap: int = 10_000) -> Geodes
 # Concrete constructions
 
 
+def _ids(graph: RegionGraph, edges: list[Edge]) -> np.ndarray:
+    """Ids of edges that must lie in the graph's region."""
+    return _checked(edges, graph.edge_ids(edges), ValueError, "edge {} outside the pattern region")
+
+
 def _constrain_all(
-    region: Region, special: dict[Edge, tuple[float, float]], default: tuple[float, float]
+    region: Region, default: Interval, special: list[tuple[Edge, Interval]] = ()
 ) -> EdgeConstraintSet:
-    return EdgeConstraintSet({e: special.get(e, default) for e in RegionGraph(region).edges})
+    """Every edge of region in the default interval, except the (distinct)
+    edges of special, each in its own interval."""
+    graph = RegionGraph(region)
+    bounds = np.tile(np.array(default, dtype=np.float64), (len(graph.edges), 1))
+    if special:
+        edges, intervals = zip(*special)
+        bounds[_ids(graph, list(edges))] = intervals
+    return EdgeConstraintSet.on_graph(graph, bounds[:, 0], bounds[:, 1])
 
 
 def obstruction_pattern() -> Pattern:
@@ -241,8 +262,8 @@ def obstruction_pattern() -> Pattern:
     same face, edges adjacent to an endpoint at 4, every other edge at 1."""
     region = ProductBox((0, 0), (1, 3))
     u, v = (0, 2), (0, 1)
-    special = {e: (4.0, 4.0) for e in RegionGraph(region).edges if u in e or v in e}
-    return Pattern(region, u, v, _constrain_all(region, special, (1.0, 1.0)), "obstruction")
+    special = [(e, (4.0, 4.0)) for e in RegionGraph(region).edges if u in e or v in e]
+    return Pattern(region, u, v, _constrain_all(region, (1.0, 1.0), special), "obstruction")
 
 
 def atom_square_pattern(kappa: float, d: int = 2) -> Pattern:
@@ -253,7 +274,7 @@ def atom_square_pattern(kappa: float, d: int = 2) -> Pattern:
     region = ProductBox(lo, hi)
     u = lo
     v = (1, 1) + (0,) * (d - 2)
-    return Pattern(region, u, v, _constrain_all(region, {}, (kappa, kappa)), "atom-square")
+    return Pattern(region, u, v, _constrain_all(region, (kappa, kappa)), "atom-square")
 
 
 def heavy_edge_pattern(M: float, d: int = 2) -> Pattern:
@@ -261,7 +282,7 @@ def heavy_edge_pattern(M: float, d: int = 2) -> Pattern:
     region = ProductBox((0,) * d, (1,) + (0,) * (d - 1))
     u = (0,) * d
     v = (1,) + (0,) * (d - 1)
-    return Pattern(region, u, v, _constrain_all(region, {}, (M, math.inf)), "heavy-edge")
+    return Pattern(region, u, v, _constrain_all(region, (M, math.inf)), "heavy-edge")
 
 
 def _two_route_paths(u: Vertex, k: int, l: int, d: int) -> tuple[LatticePath, LatticePath]:
@@ -288,10 +309,10 @@ def two_route_pattern_zero_atom(k: int, l: int, spec: DistributionSpec, d: int =
     pp = pp.concat(straight_path(pp.end, 0, 1, k))
     pp = pp.concat(straight_path(pp.end, 1, -1, l))
     pp = pp.concat(straight_path(pp.end, 0, 1, 1))
-    special = {e: (0.0, 0.0) for e in set(plus.edges()) | set(pp.edges())}
+    special = [(e, (0.0, 0.0)) for e in set(plus.edges()) | set(pp.edges())]
     wall_lo = spec.low_representative(1e-9, math.inf)
     return Pattern(
-        region, u, v, _constrain_all(region, special, (wall_lo, math.inf)), "two-route-zero",
+        region, u, v, _constrain_all(region, (wall_lo, math.inf), special), "two-route-zero",
         routes=(plus, pp),
     )
 
@@ -311,13 +332,9 @@ def two_route_pattern_unbounded(
     u = (0,) * d
     v = vadd(u, unit(d, 0, k))
     plus, pp = _two_route_paths(u, k, l, d)
-    special: dict[Edge, tuple[float, float]] = {}
-    for val, (a, b) in zip(s_atoms, zip(plus.vertices, plus.vertices[1:])):
-        special[canonical_edge(a, b)] = (val, val)
-    for val, (a, b) in zip(r_atoms, zip(pp.vertices, pp.vertices[1:])):
-        special[canonical_edge(a, b)] = (val, val)
+    special = [(e, (val, val)) for val, e in zip(s_atoms + r_atoms, plus.edges() + pp.edges())]
     return Pattern(
-        region, u, v, _constrain_all(region, special, (M, math.inf)), "two-route-unbounded",
+        region, u, v, _constrain_all(region, (M, math.inf), special), "two-route-unbounded",
         routes=(plus, pp),
     )
 
@@ -351,21 +368,12 @@ def two_route_pattern_bounded(
     up_leg = [(pp.vertices[i], pp.vertices[i + 1]) for i in range(lp)]
     top_leg = [(pp.vertices[lp + i], pp.vertices[lp + i + 1]) for i in range(kp)]
     down_leg = [(pp.vertices[lp + kp + i], pp.vertices[lp + kp + i + 1]) for i in range(lp)]
-    special: dict[Edge, tuple[float, float]] = {}
-    for i, e in enumerate(e1, start=1):
-        val = s_atoms[(i - 1) % k]
-        special[e] = (val, val)
-    for i, (a, b) in enumerate(top_leg, start=1):
-        val = r_sorted[2 * l + (i - 1) % k]
-        special[canonical_edge(a, b)] = (val, val)
-    for i, (a, b) in enumerate(up_leg, start=1):
-        val = r_sorted[(i - 1) % l]
-        special[canonical_edge(a, b)] = (val, val)
-    for i, (a, b) in enumerate(down_leg, start=1):
-        val = r_sorted[l + (i - 1) % l]
-        special[canonical_edge(a, b)] = (val, val)
+    special = [(e, (s_atoms[i % k],) * 2) for i, e in enumerate(e1)]
+    special += [(e, (r_sorted[2 * l + i % k],) * 2) for i, e in enumerate(top_leg)]
+    special += [(e, (r_sorted[i % l],) * 2) for i, e in enumerate(up_leg)]
+    special += [(e, (r_sorted[l + i % l],) * 2) for i, e in enumerate(down_leg)]
     return Pattern(
-        region, u, v, _constrain_all(region, special, (a_max, a_max)), "two-route-bounded",
+        region, u, v, _constrain_all(region, (a_max, a_max), special), "two-route-bounded",
         routes=(plus, pp), alpha=alpha,
     )
 
@@ -387,12 +395,9 @@ def shift_concavity_pattern(k: int, l: int, r: float, s: float, delta: float, d:
     pp = pp.concat(straight_path(pp.end, 0, 1, k))
     pp = pp.concat(straight_path(pp.end, 1, -1, l))
     pp = pp.concat(straight_path(pp.end, 0, 1, L))
-    special: dict[Edge, tuple[float, float]] = {}
-    for e in pp.edges():
-        if inner.contains(e[0]) and inner.contains(e[1]):
-            special[e] = (r - delta, r + delta)
+    special = [(e, (r - delta, r + delta)) for e in pp.edges() if inner.contains_edge(e)]
     return Pattern(
-        region, u, v, _constrain_all(region, special, (s - delta, s + delta)), "shift-concavity",
+        region, u, v, _constrain_all(region, (s - delta, s + delta), special), "shift-concavity",
         routes=(plus, pp), inner=inner,
     )
 
@@ -509,25 +514,21 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     pv = connector(p.v_end)
     if set(pu.vertices) & set(pv.vertices):
         raise AssertionError("connectors intersect")
-    cube_edges = RegionGraph(cube).edges
-    support_edges = RegionGraph(p.region).edges
-    wall = len(cube_edges) * m_cap
-    cons: dict[Edge, tuple[float, float]] = {}
-    kept = set(support_edges) | set(pu.edges()) | set(pv.edges())
-    for e in cube_edges:
-        if e not in kept:
-            cons[e] = (wall + 1.0, math.inf)
-    for e in pu.edges() + pv.edges():
-        cons[e] = (0.0, m_cap)
-    for e, (lo, hi) in p.event.constraints.items():
-        if lo > m_cap:
-            raise ValueError(f"m_cap={m_cap} lies below the event floor {lo} on {e}")
-        cons[e] = (lo, min(hi, m_cap))
-    for e in support_edges:
-        if e not in cons:
-            cons[e] = (0.0, m_cap)
+    graph = RegionGraph(cube)
+    wall = len(graph.edges) * m_cap
+    lo, hi = np.full(len(graph.edges), wall + 1.0), np.full(len(graph.edges), math.inf)
+    kept = _ids(graph, RegionGraph(p.region).edges + pu.edges() + pv.edges())
+    lo[kept], hi[kept] = 0.0, m_cap
+    event = p.event
+    above = np.flatnonzero(event.lo > m_cap)
+    if len(above):
+        i = above[0]
+        raise ValueError(f"m_cap={m_cap} lies below the event floor {event.lo[i]} on {event.edge(i)}")
+    ids = graph.ids_at(event.lower, event.axis)
+    lo[ids], hi[ids] = event.lo, np.minimum(event.hi, m_cap)
     return Pattern(
-        cube, pu.end, pv.end, EdgeConstraintSet(cons), p.tag + "+cube", base=p, connectors=(pu, pv)
+        cube, pu.end, pv.end, EdgeConstraintSet.on_graph(graph, lo, hi), p.tag + "+cube",
+        base=p, connectors=(pu, pv),
     )
 
 
@@ -606,16 +607,14 @@ def orient_pattern(
         raise AssertionError("guiding path is not self-avoiding")
 
     cube = LInfBall((0,) * d, l0)
-    support_edges = set(RegionGraph(p.region).edges)
-    guide_edges = set(guide.edges())
-    cons: dict[Edge, tuple[float, float]] = {}
-    for e in RegionGraph(cube).edges:
-        if e in support_edges:
-            lo_, hi_ = p.event.constraints.get(e, (0.0, math.inf))
-            cons[e] = (lo_, min(hi_, nu0))
-        elif e in guide_edges:
-            cons[e] = (0.0, rho + ddp)
-        else:
-            cons[e] = (nu0, nu)
-    pat = Pattern(cube, top, bottom, EdgeConstraintSet(cons), p.tag + f"+oriented{j + 1}")
+    graph = RegionGraph(cube)
+    lo, hi = np.full(len(graph.edges), float(nu0)), np.full(len(graph.edges), float(nu))
+    guide_ids = _ids(graph, guide.edges())
+    lo[guide_ids], hi[guide_ids] = 0.0, rho + ddp
+    support = _ids(graph, RegionGraph(p.region).edges)
+    lo[support], hi[support] = 0.0, nu0
+    event = p.event
+    ids = graph.ids_at(event.lower, event.axis)
+    lo[ids], hi[ids] = event.lo, np.minimum(event.hi, nu0)
+    pat = Pattern(cube, top, bottom, EdgeConstraintSet.on_graph(graph, lo, hi), p.tag + f"+oriented{j + 1}")
     return OrientedPattern(pat, j, p, guide, nu0, l1c, l0, ddp)

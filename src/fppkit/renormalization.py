@@ -26,7 +26,7 @@ from .lattice import (
     l1,
     vscale,
 )
-from .patterns import OrientedPattern, Pattern, pattern_hits
+from .patterns import OrientedPattern, Pattern, hits_inside
 from .rng import derive_seed
 
 
@@ -179,9 +179,7 @@ class ConstantsSet:
 
 def _pattern_cap(spec: DistributionSpec, pattern: Pattern) -> float:
     """Smallest level M with positive mass on every event interval below M."""
-    return max(
-        spec.low_representative(lo, hi) for lo, hi in pattern.event.constraints.values()
-    )
+    return max(spec.low_representative(lo, hi) for lo, hi, _ in pattern.event.intervals)
 
 
 def estimate_nu(
@@ -254,7 +252,7 @@ def derive_constants(
         )
         nu = {}
         for N in N_list:
-            n_edges = len(RegionGraph(L1Ball((0,) * d, r2 * N)).edges)
+            n_edges = L1Ball((0,) * d, r2 * N).edge_count()
             nu[N] = max(estimate_nu(spec, n_edges, derive_seed(seed, "nuN", N)), m_pat + 1.0)
         return replace(cs, nu_of_N=nu)
     # bounded regime
@@ -262,12 +260,12 @@ def derive_constants(
         raise ValueError("bounded regime requires a bounded support")
     if isinstance(pattern, OrientedPattern):
         lam = pattern.l0
-        nu_cap = max(hi for _, hi in pattern.pattern.event.constraints.values())
+        nu_cap = float(pattern.pattern.event.hi.max())
         K_pat = len(RegionGraph(pattern.pattern.region).edges)
     else:
         box = box_containing(pattern.region.vertices())
         lam = max(map(abs, box.lo + box.hi))
-        nu_cap = min(t_max, max(hi for _, hi in pattern.event.constraints.values()))
+        nu_cap = min(t_max, float(pattern.event.hi.max()))
         K_pat = len(RegionGraph(pattern.region).edges)
     tau = 2 * lam * nu_cap
     T_pat = K_pat * (t_max - rho)
@@ -631,16 +629,7 @@ def successful_box_check(
     gs = enumerate_geodesics((0,) * len(x), x, f, region=region, cap=cap)
     b2 = box.ball(2)
     for g in gs.paths:
-        found = False
-        for p in patterns:
-            support = list(p.region.vertices())
-            for hit in pattern_hits(g, p, f):
-                if all(b2.contains(tuple(a + b for a, b in zip(v, hit.translate))) for v in support):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        if not any(hits_inside(g, p, f, b2) for p in patterns):
             return False, gs.truncated
     return True, gs.truncated
 

@@ -5,8 +5,14 @@ on random boxes; sampling on a graph is checked bit for bit against the
 bare edge-list sampler; the CSV dump round-trips for d = 2..5 and refuses
 files that miss a region edge or hold an edge outside it.  The region index
 itself (vertices, edges, boundary, sub-region edges) is checked against the membership-test
-enumeration of `oracle.region_edges` on the four region shapes.
+enumeration of `oracle.region_edges` on the four region shapes.  Events
+(the arrays behind `EdgeConstraintSet`) are checked against an edge-keyed
+dict reference, and conditioned sampling against the dict-grouped sampler.
 """
+
+import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -33,11 +39,15 @@ from fppkit.lattice import (
     box_containing,
     canonical_edge,
     direction_order,
+    edge_axis,
     neighbors,
     translate_edge,
+    unit,
     vadd,
 )
 from fppkit.oracle import region_edges
+from fppkit.patterns import condition_holds, heavy_edge_pattern, two_route_pattern_unbounded
+from fppkit.rng import edge_uniforms, pack_edge_keys
 
 SPEC = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),))
 EXTENTS = {2: (4, 3), 3: (2, 2, 1)}  # boxes up to 5x4 and 3x3x2 vertices
@@ -201,6 +211,94 @@ def test_graph_sampling_equals_edge_list_sampling(region):
         graph.sample_weights(SPEC, 0, EdgeConstraintSet({picked[0]: (0.5, 0.9)}))
     with pytest.raises(KeyError, match="outside the sampled region"):
         graph.sample_weights(SPEC, 0, EdgeConstraintSet({((90,) * region.dim, (91,) + (90,) * (region.dim - 1)): (1.0, 2.0)}))
+
+
+INTERVALS = [(0.0, 0.0), (1.0, 1.0), (1.2, 1.7), (0.0, math.inf), (1.5, 2.0)]  # each has mass under SPEC
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(), st.data())
+def test_events_match_a_dict_reference(inst, data):
+    f, ref, _ = inst
+    d = f.region.dim
+    outside = (f.region.hi, vadd(f.region.hi, unit(d, 0)))  # one edge past the box
+    pool = sorted(ref) + [outside]
+
+    def draw_event() -> dict:
+        picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=12))
+        return {e: data.draw(st.sampled_from(INTERVALS)) for e in picked}
+
+    a, b = draw_event(), draw_event()
+    ev = EdgeConstraintSet({(v, u): iv for (u, v), iv in a.items()})  # endpoints given in reverse
+    assert len(ev) == len(a) and list(ev.constraints.items()) == sorted(a.items())
+    x = tuple(data.draw(st.integers(-3, 3)) for _ in range(d))
+    assert list(ev.translate(x).constraints.items()) == sorted((translate_edge(e, x), iv) for e, iv in a.items())
+    if any(e in b and b[e] != iv for e, iv in a.items()):
+        with pytest.raises(ValueError, match="conflicting constraints"):
+            ev.merged_with(EdgeConstraintSet(b))
+    else:
+        assert list(ev.merged_with(EdgeConstraintSet(b)).constraints.items()) == sorted({**a, **b}.items())
+    if outside in a:
+        with pytest.raises(KeyError):
+            ev.satisfied_by(f)
+    else:
+        assert ev.satisfied_by(f) == all(lo - 1e-9 <= ref[e] <= hi + 1e-9 for e, (lo, hi) in a.items())
+    # bound at translate x, the event reads the edges e + x
+    moved = [(vadd(u, x), vadd(v, x)) for u, v in sorted(a)]
+    assert f.graph.ids_at(ev.lower + np.array(x), ev.axis).tolist() == f.graph.edge_ids(moved).tolist()
+
+
+def _dict_grouped_times(edges: list, seed: int, cons: dict) -> np.ndarray:
+    """edge_times_for as a per-edge index dict and a per-interval dict of positions compute it."""
+    canonical = [canonical_edge(*e) for e in edges]
+    lower, axes = np.array([e[0] for e in canonical]), np.array([edge_axis(e) for e in canonical])
+    u = edge_uniforms(seed, *pack_edge_keys(lower, axes))
+    times = SPEC.ppf(u)
+    index = {e: i for i, e in enumerate(canonical)}
+    by_interval: dict = {}
+    for e, iv in cons.items():
+        by_interval.setdefault(iv, []).append(index[e])
+    for (lo, hi), idx in by_interval.items():
+        times[idx] = SPEC.conditional_ppf(u[idx], lo, hi)
+    return times
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields(), st.data())
+def test_edge_times_for_matches_a_dict_grouped_reference(inst, data):
+    f, ref, _ = inst
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in data.draw(st.permutations(sorted(ref)))]
+    picked = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True, max_size=12))
+    cons = {e: data.draw(st.sampled_from(INTERVALS)) for e in picked}
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    got = edge_times_for(edges, SPEC, seed, EdgeConstraintSet(cons))
+    assert got.tobytes() == _dict_grouped_times(edges, seed, cons).tobytes()
+    first = canonical_edge(*edges[0])
+    with pytest.raises(ValueError, match=re.escape(f"[0.5, 0.9] on {first} has zero mass")):
+        edge_times_for(edges, SPEC, seed, EdgeConstraintSet({**cons, first: (0.5, 0.9)}))
+
+
+def test_satisfied_by_and_condition_holds_share_one_tolerance():
+    pat = heavy_edge_pattern(2.0)
+    path = LatticePath([(0, 0), (1, 0)])
+    for t, holds in ((2.0 - 0.5e-9, True), (2.0 - 2e-9, False)):
+        f = RegionGraph(pat.region).field_from(np.array([t]))
+        assert pat.event.satisfied_by(f) is holds
+        assert (condition_holds((0, 0), path, pat, f) is not None) is holds
+
+
+def test_an_event_survives_pickle_and_stays_read_only():
+    pat = two_route_pattern_unbounded(2, 1, [1.0] * 4, [2.0, 2.0], 5.0)
+    ev = pat.event
+    for _ in range(2):  # before and after the mapping view is built
+        back = pickle.loads(pickle.dumps(pat))
+        assert back.serialize() == pat.serialize() and len(back.event.intervals) == len(ev.intervals) == 3
+        assert pickle.loads(pickle.dumps(ev.constraints)) == ev.constraints
+    e = next(iter(ev.constraints))
+    with pytest.raises(TypeError):
+        ev.constraints[e] = (0.0, 1.0)
+    with pytest.raises(ValueError):
+        ev.lo[0] = 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -75,6 +75,13 @@ def test_region_edges_counts():
     assert len(RegionGraph(LInfBall((0, 0), 1)).edges) == 12
 
 
+def test_l1_ball_edge_count_closed_form():
+    for d in range(1, 5):
+        for radius in range(7):
+            ball = L1Ball(tuple(range(d)), radius)
+            assert ball.edge_count() == len(RegionGraph(ball).edges), (d, radius)
+
+
 def test_region_edges_both_endpoints_inside():
     ball = L1Ball((0, 0), 3)
     for e in RegionGraph(ball).edges:

@@ -13,6 +13,7 @@ from fppkit.oracle import exact_optimal_set, oracle_pattern_count, region_edges
 from fppkit.patterns import (
     Pattern,
     heavy_edge_pattern,
+    hits_inside,
     condition_holds,
     count_disjoint_occurrences,
     count_occurrences,
@@ -147,6 +148,8 @@ def test_count_occurrences_three_disjoint_hits():
     assert count_occurrences(g, pat, f) == 3
     assert oracle_pattern_count(g, pat, f) == 3
     assert count_disjoint_occurrences(g, pat, f) == 3
+    # the support translated by (9, 0) covers x = 9, 10, past the box
+    assert [h.translate for h in hits_inside(g, pat, f, ProductBox((0, 0), (9, 0)))] == [(1, 0), (5, 0)]
 
 
 def test_count_occurrences_bounded_by_vertices():
@@ -304,6 +307,8 @@ def test_orient_pattern_constants_and_event_inclusion():
         olo, ohi = op.pattern.event.constraints[e]
         assert lo <= olo + 1e-12 and ohi <= hi + 1e-12
     assert op.guide.is_self_avoiding()
+    # 215,824 interval masses multiply to 0.0, yet every interval carries mass
+    assert validate_pattern(op.pattern, ORIENT_SPEC).valid
 
 
 def test_orient_pattern_guide_oriented_between_u1_v1():
