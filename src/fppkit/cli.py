@@ -178,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         delta = float(cfg["delta"])
         alpha = cfg.get("alpha")
         regime = cfg.get("regime", "unbounded")
+        if regime == "bounded" and "mu_rate" not in cfg:
+            raise SystemExit("config key 'mu_rate' is required by typical-rate in the bounded regime")
         pattern = build_pattern(cfg["pattern"], cfg.get("pattern_params", {}), spec, d)
         # nu(N) is estimated inside run_typical_rate at the override radii;
         # the derived (derived-scale) B2 would be enormous

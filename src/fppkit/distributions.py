@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_TOL = 1e-12
+from .tolerance import agree, atom_in
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class _Piece:
 
     def mass_in(self, lo: float, hi: float) -> float:
         if self.kind == "atom":
-            return self.prob if lo - _TOL <= self.a <= hi + _TOL else 0.0
+            return self.prob if atom_in(self.a, lo, hi) else 0.0
         if self.kind == "uniform":
             overlap = min(hi, self.b) - max(lo, self.a)
             return self.prob * max(0.0, overlap) / (self.b - self.a)
@@ -112,7 +112,7 @@ class DistributionSpec:
         if not pieces:
             raise ValueError("empty distribution")
         total = sum(p.prob for p in pieces)
-        if abs(total - 1.0) > 1e-12:
+        if not agree(total, 1.0):
             raise ValueError(f"piece probabilities sum to {total}, not 1")
         values = [v for v, _ in self.atoms]
         if len(set(values)) != len(values):
@@ -158,7 +158,7 @@ class DistributionSpec:
         return any(p.log_mass_in(lo, hi) > -math.inf for p in self._pieces)
 
     def mass_at(self, v: float) -> float:
-        return sum(p.prob for p in self._pieces if p.kind == "atom" and p.a == v)
+        return sum(p.prob for p in self._pieces if p.kind == "atom" and atom_in(p.a, v, v))
 
     def low_representative(self, lo: float, hi: float = math.inf) -> float:
         """A cheap value of positive conditional mass inside [lo, hi]."""
@@ -207,7 +207,7 @@ class DistributionSpec:
                 continue
             width = cum[k] - starts[k]
             local = (q[sel] - starts[k]) / width if width > 0 else np.zeros(sel.sum())
-            out[sel] = piece.ppf_within(np.clip(local, 0.0, 1.0 - 1e-16), lo, hi)
+            out[sel] = piece.ppf_within(np.clip(local, 0.0, np.nextafter(1.0, 0.0)), lo, hi)
         return out
 
     # -- text format ----------------------------------------------------

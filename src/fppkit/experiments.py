@@ -40,6 +40,7 @@ from .renormalization import (
     typicality_unbounded,
 )
 from .rng import derive_seed
+from .tolerance import at_least, le
 
 SCHEMA_VERSION = 1
 
@@ -127,7 +128,7 @@ def run_large_edges(
             s = derive_seed(seed, "large_edges", n, k)
             f = graph.field_from(graph.sample_weights(spec, s))
             paths, truncated, _ = _geodesic_panel(f, x, y, cap)
-            min_h = min(int((f.times_at(g.edges()) >= M - 1e-12).sum()) for g in paths)
+            min_h = min(int(at_least(f.times_at(g.edges()), M).sum()) for g in paths)
             rows.append(
                 dict(experiment="large_edges", n=n, trial=k, seed=s, min_count=min_h,
                      truncated=int(truncated), n_geodesics=len(paths))
@@ -218,7 +219,7 @@ def run_shift_concavity(
             rows.append(
                 dict(experiment="shift", n=n, trial=k, seed=s, b=b, t=t0,
                      t_shift=tb, lmax=ext.lmax, bound=bound,
-                     holds=int(tb <= bound + 1e-9), approx=int(not ext.exact))
+                     holds=int(le(tb, bound)), approx=int(not ext.exact))
             )
     return rows
 
@@ -259,7 +260,7 @@ def run_typical_rate(
         graph = RegionGraph(box.outer)
         nu_N = None
         if regime == "unbounded":
-            n_edges = len(RegionGraph(box.ball(2)).edges)
+            n_edges = box.ball(2).edge_count()
             from .renormalization import estimate_nu
 
             nu_N = estimate_nu(spec, n_edges, derive_seed(seed, "nu", N))
@@ -335,7 +336,7 @@ def run_modification_demo_unbounded(
     b2_edges = RegionGraph(b2).edges
     from .renormalization import estimate_nu
 
-    nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * len(RegionGraph(cube_pat.region).edges) + 2.0)
+    nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * cube_pat.region.edge_count() + 2.0)
     rho = spec.rho
     zero = (0,) * d
     out: list[DemoInstance] = []
@@ -428,6 +429,6 @@ def calibrate_alpha(
     for k in range(trials):
         w = graph.sample_weights(spec, derive_seed(seed, "calalpha", k))
         g = GeodesicDag.between(graph, w, x, y).first_lex()
-        heavy = int((w[graph.edge_ids(g.edges())] >= level - 1e-12).sum())
+        heavy = int(at_least(w[graph.edge_ids(g.edges())], level).sum())
         fracs.append(heavy / l1(x, y))
     return safety * min(fracs)

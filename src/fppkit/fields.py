@@ -23,10 +23,9 @@ import numpy as np
 from .distributions import DistributionSpec
 from .lattice import Edge, Region, Vertex, canonical_edge, edge_axis, translate
 from .rng import edge_uniforms, pack_edge_keys
+from .tolerance import in_interval
 
 Interval = tuple[float, float]
-
-EVENT_TOL = 1e-9  # an edge time t meets [lo, hi] when lo - EVENT_TOL <= t <= hi + EVENT_TOL
 
 
 class _FrozenDict(Mapping):
@@ -172,8 +171,7 @@ class EdgeConstraintSet:
         ids = f.graph.ids_at(self.lower, self.axis)
         if np.any(ids < 0):
             raise KeyError(self.edge(np.argmin(ids)))
-        t = f.w[ids]
-        return bool(np.all((self.lo - EVENT_TOL <= t) & (t <= self.hi + EVENT_TOL)))
+        return bool(np.all(in_interval(f.w[ids], self.lo, self.hi)))
 
 
 def _sample(spec: DistributionSpec, seed: int, keys, constraints, ids) -> np.ndarray:

@@ -11,12 +11,12 @@ query reads from it.  All geodesics x -> y live on the admissible arcs
     dist_x(u) + T(u,v) + dist_y(v) = t(x, y),
 
 and all geodesics from x on the single-source tight arcs, dist_x(u) +
-T(u,v) = dist_x(v).  `_close` decides both, vectorised over the region
-graph's arc table, with the one tolerance REL_TOL relative to
-max(1, |a|, |b|).  Every prefix of an optimal self-avoiding path is itself
-optimal, so one depth-first walk of admissible arcs with a visited set
-meets each self-avoiding geodesic once; it serves enumeration and, when
-zero-weight cycles appear, the longest-geodesic search.
+T(u,v) = dist_x(v).  `tolerance.close` decides both, vectorised over the
+region graph's arc table, with SUM_RTOL relative to max(1, |a|, |b|).
+Every prefix of an optimal self-avoiding path is itself optimal, so one
+depth-first walk of admissible arcs with a visited set meets each
+self-avoiding geodesic once; it serves enumeration and, when zero-weight
+cycles appear, the longest-geodesic search.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .distributions import DistributionSpec
 from .fields import RegionGraph, WeightField
 from .lattice import LatticePath, Region, Vertex, l1, vscale
 from .rng import derive_seed
+from .tolerance import close, le
 
-REL_TOL = 1e-9  # tightness tolerance for continuous weights (float summation order)
 DEFAULT_PATH_CAP = 10_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -64,14 +64,6 @@ def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
-
-
-def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The tight-arc test, elementwise: a and b are finite and agree to
-    REL_TOL relative to max(1, |a|, |b|)."""
-    with np.errstate(invalid="ignore"):  # inf - inf on unreachable vertices
-        gap = np.abs(a - b)
-    return np.isfinite(gap) & (gap <= REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
 
 def _arc_lists(graph: RegionGraph, mask: np.ndarray, backward: bool = False) -> list[list[tuple[int, int]]]:
@@ -128,7 +120,7 @@ class GeodesicDag:
     def _source_tight(self) -> np.ndarray:
         tail, head, edge = self.graph.arc_table
         # the table arc v -> u, read backwards, is the arc u -> v
-        return _close(self.dist[head] + self.weights[edge], self.dist[tail])
+        return close(self.dist[head] + self.weights[edge], self.dist[tail])
 
     @cached_property
     def parents(self) -> list[list[tuple[int, int]]]:
@@ -149,7 +141,7 @@ class GeodesicDag:
     @cached_property
     def _admissible(self) -> np.ndarray:
         tail, head, edge = self.graph.arc_table
-        return _close(self.dist[tail] + self.weights[edge] + self.dist_y[head], self.time)
+        return close(self.dist[tail] + self.weights[edge] + self.dist_y[head], self.time)
 
     @cached_property
     def arcs(self) -> list[list[tuple[int, int]]]:
@@ -454,9 +446,7 @@ def metric_ball(
     """Sublevel set {u : t(c, u) <= t}; certified iff it avoids the boundary."""
     graph, w = _resolve(f, region, graph)
     dist = dijkstra(graph, w, graph.vindex[tuple(c)])
-    ball = frozenset(
-        graph.vertices[i] for i in range(graph.n) if dist[i] <= t + REL_TOL * max(1.0, t)
-    )
+    ball = frozenset(graph.vertices[i] for i in np.flatnonzero(le(dist, t)))
     boundary = graph.boundary_indices()
     certified = all(graph.vindex[v] not in boundary for v in ball)
     return ball, certified

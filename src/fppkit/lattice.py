@@ -325,6 +325,11 @@ class LInfBall(Region):
         hi = tuple(c + self.radius for c in self.center)
         return _box_vertices(lo, hi)
 
+    def edge_count(self) -> int:
+        """d 2r (2r+1)^(d-1) edges: 2r along each of the (2r+1)^(d-1) lines per axis."""
+        side = 2 * self.radius
+        return self.dim * side * (side + 1) ** (self.dim - 1)
+
 
 @dataclass(frozen=True)
 class Annulus(Region):

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import EdgeConstraintSet, WeightField, splice
 from .geodesics import (
     RegionGraph,
@@ -48,6 +50,7 @@ from .lattice import (
 )
 from .patterns import OrientedPattern, Pattern, condition_holds, hits_inside
 from .renormalization import BoxScale, ConstantsSet
+from .tolerance import at_least, close, le, lt
 
 
 class PlanError(Exception):
@@ -326,7 +329,7 @@ def _validate_connector(pi, pi_u, pi_v, u, v, center, lam, N, r2, u_end, v_end, 
     on_rim = [z for z in pi.vertices if l1(z, center) == m]
     if set(on_rim) != {u, v}:
         raise PlanError("connector touches the B2 boundary off its endpoints")
-    K = len(RegionGraph(LInfBall((0,) * d, lam + 3)).edges)
+    K = LInfBall((0,) * d, lam + 3).edge_count()
     if len(pi_u) + len(pi_v) > 2 * r2 * N + K:
         raise PlanError("connector legs exceed the length bound")
 
@@ -525,12 +528,12 @@ def verify_modification_unbounded(
     ts = star.path_time(gamma_star)
     rep.add(
         "rerouting wins: T*(gamma*) < T(gamma)",
-        ts < t_old - 1e-12,
+        lt(ts, t_old),
         f"T*(gamma*)={ts:.6g}, T(gamma)={t_old:.6g}",
     )
     rep.add(
         "gamma* is a geodesic in T*",
-        abs(ts - t_new) <= 1e-9 * max(1.0, t_new),
+        close(ts, t_new),
         f"T*(gamma*)={ts:.6g}, t*(0,x)={t_new:.6g}",
     )
     w = associated_in(gamma_star, gamma, b3)
@@ -562,7 +565,7 @@ def verify_modification_unbounded(
             mid = gamma.subpath(plan.u, plan.v)
             post = g.subpath(plan.v, g.end)
             glue = cut_loops(pre.concat(mid).concat(post))
-            if abs(f.path_time(glue) - t_old) <= 1e-9 * max(1.0, t_old):
+            if close(f.path_time(glue), t_old):
                 assoc_ok = associated_in(glue, g, b3) is not None
         except (ValueError, KeyError):
             assoc_ok = False
@@ -756,9 +759,8 @@ def build_plan_bounded(
     # gamma stays a T*-geodesic, so T*(gamma_{0,u1}) = t*(0, u1)
     t0u1 = dist0[graph.vindex[u1]]
     tv1x = distx[graph.vindex[v1]]
-    tol = 1e-9
-    ball0 = frozenset(graph.vertices[i] for i in range(graph.n) if dist0[i] <= t0u1 + tol)
-    ballx = frozenset(graph.vertices[i] for i in range(graph.n) if distx[i] <= tv1x + tol)
+    ball0 = frozenset(graph.vertices[i] for i in np.flatnonzero(le(dist0, t0u1)))
+    ballx = frozenset(graph.vertices[i] for i in np.flatnonzero(le(distx, tv1x)))
     u2 = next((z for z in reversed(pi.vertices) if z in ball0), None)
     v2 = next((z for z in pi.vertices if z in ballx), None)
     if u2 is None or v2 is None:
@@ -891,7 +893,7 @@ def verify_modification_bounded(
     )
     rep.add(
         "gamma stays a geodesic after the first splice",
-        abs(star.path_time(gamma) - t_star) <= 1e-9 * max(1.0, t_star),
+        close(star.path_time(gamma), t_star),
     )
     stars = star_dag.geodesics(cap)
     rep.add(
@@ -904,7 +906,7 @@ def verify_modification_bounded(
         floor7 = plan.box.N * (constants.nabla or 0.0)
         rep.add(
             "mu separation of the highway anchors: mu(u1 - v1) >= N nabla",
-            mu_uv >= floor7 - 1e-9,
+            le(floor7, mu_uv),
             f"mu={mu_uv:.6g}, floor={floor7:.6g}",
         )
     # gamma^pi time saving
@@ -916,7 +918,7 @@ def verify_modification_bounded(
     floor8 = plan.box.N * (constants.nabla or 0.0) * (constants.delta - constants.delta_prime) / (2 * constants.C_mu)
     rep.add(
         "highway saving floor: T*(gamma) - T**(gamma^pi) >= N nabla (delta-delta') / (2 C_mu)",
-        star.path_time(gamma) - t_gpi >= floor8 - 1e-9,
+        le(floor8, star.path_time(gamma) - t_gpi),
         f"saving={star.path_time(gamma) - t_gpi:.6g}, floor={floor8:.6g}",
     )
     dds = dstar_dag.geodesics(cap)
@@ -926,7 +928,7 @@ def verify_modification_bounded(
     changed = {
         e
         for e in (plan.e_star_plus | plan.e_pp | plan.e_pm | plan.e_pat)
-        if dstar.time(e) < f.time(e) - 1e-12
+        if not at_least(dstar.time(e), f.time(e))
     }
     ok_s1s2 = True
     ok_pi_order = True
@@ -949,7 +951,7 @@ def verify_modification_bounded(
                 g.subpath(g.start, s1).concat(gamma.subpath(s1, s2)).concat(g.subpath(s2, g.end))
             )
             assoc = (
-                abs(f.path_time(glue) - t_old) <= 1e-9 * max(1.0, t_old)
+                close(f.path_time(glue), t_old)
                 and associated_in(glue, g, b4) is not None
             )
         except (ValueError, KeyError):
@@ -969,7 +971,7 @@ def verify_modification_bounded(
             )
         except ValueError:
             continue
-        if abs(dstar.path_time(glue) - t_dd) <= 1e-9 * max(1.0, t_dd) and associated_in(glue, gamma, b4):
+        if close(dstar.path_time(glue), t_dd) and associated_in(glue, gamma, b4):
             ok3 = True
             break
     rep.add("gamma associated with a T**-geodesic in B4", ok3)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fields import EVENT_TOL, EdgeConstraintSet, Interval, RegionGraph, WeightField, _checked
+from .fields import EdgeConstraintSet, Interval, RegionGraph, WeightField, _checked
 from .geodesics import GeodesicDag, GeodesicSet, _resolve, dijkstra, enumerate_geodesics
 from .lattice import (
     Edge,
@@ -35,6 +35,7 @@ from .lattice import (
     vadd,
     vsub,
 )
+from .tolerance import TIME_ATOL, WALL_LEVEL, agree
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,18 @@ def validate_pattern(p: Pattern, spec: DistributionSpec) -> PatternVerdict:
     return PatternVerdict(valid, positive, distinct, unbounded, "; ".join(reason))
 
 
-def condition_holds(
-    x: Vertex,
-    path: LatticePath,
-    p: Pattern,
-    f: WeightField,
-    require_order: bool = False,
-) -> PatternHit | None:
+def condition_holds(x: Vertex, path: LatticePath, p: Pattern, f: WeightField) -> PatternHit | None:
     """The condition (path; pattern) at translate x.
 
-    Both visit orders are accepted unless require_order is set (then the
-    u-endpoint must be visited first).  The environment check reads the
-    field at the translated edges: (theta_x T)(e) = T(e + x).
+    Both visit orders are accepted.  The environment check reads the field
+    at the translated edges: (theta_x T)(e) = T(e + x), each against its
+    interval by `tolerance.in_interval`, inlined on this hot path.
     """
     x = tuple(x)
     try:
         iu = path.index_of(vadd(p.u_end, x))
         iv = path.index_of(vadd(p.v_end, x))
     except ValueError:
-        return None
-    if require_order and iu > iv:
         return None
     i, j = min(iu, iv), max(iu, iv)
     for v in path.vertices[i : j + 1]:
@@ -171,21 +164,19 @@ def condition_holds(
     graph, w = f.graph, f.w
     for (a, b), (lo, hi) in p.event.constraints.items():
         eid = graph.edge_id((vadd(a, x), vadd(b, x)))  # translation keeps edges canonical
-        if eid < 0 or not (lo - EVENT_TOL <= w[eid] <= hi + EVENT_TOL):
+        if eid < 0 or not (lo - TIME_ATOL <= w[eid] <= hi + TIME_ATOL):
             return None
     return PatternHit(x, i, j)
 
 
-def pattern_hits(
-    path: LatticePath, p: Pattern, f: WeightField, require_order: bool = False
-) -> list[PatternHit]:
+def pattern_hits(path: LatticePath, p: Pattern, f: WeightField) -> list[PatternHit]:
     """All hits, in path order of the entry index.  The scan tries only
     the translates that put the u-endpoint on the path, but each try finds
     both endpoints with `index_of`, a linear search: O(|path|^2) in all."""
     candidates = {vsub(v, p.u_end) for v in path.vertices}
     hits = []
     for x in candidates:
-        hit = condition_holds(x, path, p, f, require_order)
+        hit = condition_holds(x, path, p, f)
         if hit is not None:
             hits.append(hit)
     hits.sort(key=lambda h: (h.entry_index, h.translate))
@@ -198,16 +189,12 @@ def hits_inside(path: LatticePath, p: Pattern, f: WeightField, region: Region) -
     return [h for h in pattern_hits(path, p, f) if all(region.contains(vadd(v, h.translate)) for v in support)]
 
 
-def count_occurrences(
-    path: LatticePath, p: Pattern, f: WeightField, require_order: bool = False
-) -> int:
+def count_occurrences(path: LatticePath, p: Pattern, f: WeightField) -> int:
     """N^P(path): number of translates satisfying the condition."""
-    return len(pattern_hits(path, p, f, require_order))
+    return len(pattern_hits(path, p, f))
 
 
-def count_disjoint_occurrences(
-    path: LatticePath, p: Pattern, f: WeightField, require_order: bool = False
-) -> int:
+def count_disjoint_occurrences(path: LatticePath, p: Pattern, f: WeightField) -> int:
     """Greedy count of vertex-disjoint hits along path order.
 
     Greedy acceptance (skip any hit whose translated support shares a
@@ -215,7 +202,7 @@ def count_disjoint_occurrences(
     since an accepted support can only block translates within its own
     footprint in each coordinate.
     """
-    hits = pattern_hits(path, p, f, require_order)
+    hits = pattern_hits(path, p, f)
     support = list(p.region.vertices())
     taken: list[set[Vertex]] = []
     kept = 0
@@ -310,7 +297,7 @@ def two_route_pattern_zero_atom(k: int, l: int, spec: DistributionSpec, d: int =
     pp = pp.concat(straight_path(pp.end, 1, -1, l))
     pp = pp.concat(straight_path(pp.end, 0, 1, 1))
     special = [(e, (0.0, 0.0)) for e in set(plus.edges()) | set(pp.edges())]
-    wall_lo = spec.low_representative(1e-9, math.inf)
+    wall_lo = spec.low_representative(WALL_LEVEL, math.inf)
     return Pattern(
         region, u, v, _constrain_all(region, (wall_lo, math.inf), special), "two-route-zero",
         routes=(plus, pp),
@@ -323,7 +310,7 @@ def two_route_pattern_unbounded(
     """Two equal-time routes with prescribed atoms and walls above M."""
     if len(r_atoms) != k + 2 * l or len(s_atoms) != k:
         raise ValueError("need k+2l r-atoms and k s-atoms")
-    if abs(sum(r_atoms) - sum(s_atoms)) > 1e-12:
+    if not agree(sum(r_atoms), sum(s_atoms)):
         raise ValueError("atom sums differ: sum r' != sum s'")
     if M <= sum(s_atoms):
         raise ValueError("walls must exceed the route time: M > sum s'")
@@ -347,7 +334,7 @@ def two_route_pattern_bounded(
     along each side; all other support edges sit at a_max."""
     if len(r_atoms) != k + 2 * l or len(s_atoms) != k:
         raise ValueError("need k+2l r-atoms and k s-atoms")
-    if abs(sum(r_atoms) - sum(s_atoms)) > 1e-12:
+    if not agree(sum(r_atoms), sum(s_atoms)):
         raise ValueError("atom sums differ: sum r' != sum s'")
     a_max = max(r_atoms + s_atoms)
     if sum(1 for v in r_atoms if v < a_max) < 2 * l:

@@ -28,6 +28,7 @@ from .lattice import (
 )
 from .patterns import OrientedPattern, Pattern, hits_inside
 from .rng import derive_seed
+from .tolerance import INPUT_ATOL, agree, at_least, le, lt
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,12 @@ class ConstantsSet:
                 - self.tau_pattern
             )
             checks.append(("r2(delta-delta') - r1(rho+delta) - K(rho+delta') - tau > 0", lhs2 > 0))
-            checks.append(("B2 fits B_mu(0, r23/2)", self.C_mu * self.r2 <= self.r23 / 2 + 1e-12))
-            checks.append(("B_mu(0, 9 r23) fits B3", 9 * self.r23 / self.c_mu <= self.r3 + 1e-12))
+            checks.append(("B2 fits B_mu(0, r23/2)", self.C_mu * self.r2 <= self.r23 / 2 + INPUT_ATOL))
+            checks.append(("B_mu(0, 9 r23) fits B3", 9 * self.r23 / self.c_mu <= self.r3 + INPUT_ATOL))
             checks.append(("r = 2(r1+r3+1)", self.r_annulus == 2 * (self.r1 + self.r3 + 1)))
             checks.append(("nu(N) > M^Lambda", all(v > self.m_pattern for v in self.nu_of_N.values())))
         else:
-            checks.append(("delta' = min(delta/4, delta/(1+d))", abs(self.delta_prime - min(self.delta / 4, self.delta / (1 + self.d))) < 1e-12))
+            checks.append(("delta' = min(delta/4, delta/(1+d))", agree(self.delta_prime, min(self.delta / 4, self.delta / (1 + self.d)))))
             checks.append(("epsilon < min(1/11, delta/(24 C_mu))", self.epsilon < min(1 / 11, self.delta / (24 * self.C_mu))))
             bound = max(
                 4 * (1 + self.t_max) * self.C_mu / (self.epsilon * self.c_mu),
@@ -233,7 +234,7 @@ def derive_constants(
         base = pattern if isinstance(pattern, Pattern) else pattern.pattern
         box = box_containing(base.region.vertices())
         lam = max(map(abs, box.lo + box.hi))
-        K_edges = len(RegionGraph(LInfBall((0,) * d, lam + 3)).edges)
+        K_edges = LInfBall((0,) * d, lam + 3).edge_count()
         m_pat = _pattern_cap(spec, base)
         tau = m_pat * l1(base.u_end, base.v_end)
         # minimal integer r2 with r2 delta - r1(rho+delta) - K rho - tau > 0
@@ -400,19 +401,18 @@ def typicality_unbounded(
     sources = _pair_sources(graph, pair_sample, derive_seed(0, "pairs", *box.s, N))
     witness = ""
     ok = True
+    coords = np.array(graph.vertices)
     for i in sources:
         di = dist if i == center else dijkstra(graph, w, i)
-        vi = graph.vertices[i]
-        for j in range(graph.n):
-            sep = l1(vi, graph.vertices[j])
-            if sep >= min_sep and di[j] < threshold * sep - 1e-9:
-                ok = False
-                witness = (
-                    f"pair {vi}->{graph.vertices[j]}: t={di[j]:.6g} < {threshold * sep:.6g}; "
-                    + _witness_path(GeodesicDag(graph, w, vi, di), j)
-                )
-                break
-        if not ok:
+        sep = np.abs(coords - coords[i]).sum(axis=1)
+        fast = np.flatnonzero((sep >= min_sep) & lt(di, threshold * sep))
+        if len(fast):
+            j, vi = int(fast[0]), graph.vertices[i]
+            ok = False
+            witness = (
+                f"pair {vi}->{graph.vertices[j]}: t={di[j]:.6g} < {threshold * sep[j]:.6g}; "
+                + _witness_path(GeodesicDag(graph, w, vi, di), j)
+            )
             break
     name2 = "(ii) no abnormally fast pair"
     if pair_sample is not None and pair_sample < graph.n:
@@ -465,6 +465,8 @@ def typicality_bounded(
     """
     if box.regime != "bounded":
         raise ValueError("box regime mismatch")
+    if mu_oracle is None:
+        raise ValueError("the bounded clause (iii) needs a mu oracle")
     r1, r2, r3, r4 = box.radii
     N = box.N
     alpha = constants.alpha or 0.0
@@ -472,41 +474,48 @@ def typicality_bounded(
     b4 = box.outer
     b3 = box.ball(3)
     graph4, w4 = _resolve(f, b4, graph4)
-    heavy = w4 >= constants.rho + constants.delta - 1e-12
-    in_b3 = [i for i, v in enumerate(graph4.vertices) if b3.contains(v)]
+    heavy = at_least(w4, constants.rho + constants.delta)
+    in_b3 = np.array([b3.contains(v) for v in graph4.vertices])
     sources = _pair_sources(graph4, pair_sample, derive_seed(1, "pairs", *box.s, N))
     threshold = constants.rho + constants.delta
     c1_ok, c1_wit = True, ""
     c2_ok, c2_wit = True, ""
     c3_ok, c3_wit = True, ""
-    in_b3_set = set(in_b3)
+    coords = np.array(graph4.vertices)
+    # each clause keeps the first failing (source, target) pair in index order
     for i in sources:
         dist = dijkstra(graph4, w4, i)
         vi = graph4.vertices[i]
         dag = GeodesicDag(graph4, w4, vi, dist)
-        hmin_all = _tight_min_heavy_all(dag, heavy) if i in in_b3_set else {}
-        for j in range(graph4.n):
-            vj = graph4.vertices[j]
-            sep = l1(vi, vj)
-            if sep < N:
-                continue
-            # clause (ii): B4 pairs
-            if c2_ok and dist[j] < threshold * sep - 1e-9:
-                c2_ok = False
-                c2_wit = (
-                    f"pair {vi}->{vj}: t={dist[j]:.6g} < {threshold * sep:.6g}; "
-                    + _witness_path(dag, j)
-                )
-            if i in in_b3_set and j in in_b3_set:
-                # clause (iii): mu approximation on B3 pairs
-                mu = mu_oracle(tuple(a - b for a, b in zip(vi, vj)))
-                if c3_ok and not ((1 - eps) * mu - N <= dist[j] + 1e-9 and dist[j] <= (1 + eps) * mu + N + 1e-9):
-                    c3_ok, c3_wit = False, f"pair {vi}->{vj}: t={dist[j]:.6g} vs mu={mu:.6g}"
-                # clause (i): heavy-edge density on restricted-optimal paths
-                if c1_ok:
-                    hmin = hmin_all.get(j)
-                    if hmin is not None and hmin < alpha * sep:
-                        c1_ok, c1_wit = False, f"pair {vi}->{vj}: min heavy {hmin} < {alpha * sep:.6g}"
+        sep = np.abs(coords - coords[i]).sum(axis=1)
+        # clause (ii): B4 pairs
+        fast = np.flatnonzero((sep >= N) & lt(dist, threshold * sep))
+        if c2_ok and len(fast):
+            j = int(fast[0])
+            c2_ok = False
+            c2_wit = (
+                f"pair {vi}->{graph4.vertices[j]}: t={dist[j]:.6g} < {threshold * sep[j]:.6g}; "
+                + _witness_path(dag, j)
+            )
+        if not in_b3[i]:
+            continue
+        js = np.flatnonzero(in_b3 & (sep >= N))
+        # clause (iii): mu approximation on B3 pairs
+        if c3_ok:
+            mu = np.array([mu_oracle(tuple(a - b for a, b in zip(vi, graph4.vertices[j]))) for j in js.tolist()])
+            off = np.flatnonzero(~(le((1 - eps) * mu - N, dist[js]) & le(dist[js], (1 + eps) * mu + N)))
+            if len(off):
+                k, j = int(off[0]), int(js[off[0]])
+                c3_ok, c3_wit = False, f"pair {vi}->{graph4.vertices[j]}: t={dist[j]:.6g} vs mu={mu[k]:.6g}"
+        # clause (i): heavy-edge density on restricted-optimal paths
+        if c1_ok:
+            hmin_all = _tight_min_heavy_all(dag, heavy)
+            for j in js.tolist():
+                hmin = hmin_all.get(j)
+                if hmin is not None and hmin < alpha * sep[j]:
+                    c1_ok = False
+                    c1_wit = f"pair {vi}->{graph4.vertices[j]}: min heavy {hmin} < {alpha * sep[j]:.6g}"
+                    break
     suffix = ""
     if pair_sample is not None and pair_sample < graph4.n:
         suffix = f" [subsampled {len(sources)} sources]"

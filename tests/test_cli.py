@@ -187,6 +187,25 @@ def test_cli_large_edges_and_typical_rate(tmp_path):
     assert {"clause1", "clause2", "clause3", "typical"} <= set(rows[0])
 
 
+def test_cli_typical_rate_bounded_requires_mu_rate(tmp_path):
+    cfg = _write(
+        tmp_path,
+        """
+        atoms = [(1.0, 0.5), (2.0, 0.5)]
+        regime = bounded
+        pattern = atom_square
+        delta = 0.3
+        alpha = 0.05
+        N_list = [2]
+        radii = (2, 3, 4, 6)
+        boxes = 1
+        """,
+    )
+    with pytest.raises(SystemExit, match="mu_rate"):
+        main(["typical-rate", "--config", cfg, "--out", str(tmp_path / "tr.csv")])
+    assert not (tmp_path / "tr.csv").exists()
+
+
 def test_cli_jobs_rejected_where_not_honoured(tmp_path, capsys):
     cfg = _write(tmp_path, "atoms = [(1.0, 0.5), (2.0, 0.5)]\nn_list = [10]\ntrials = 2\n")
     with pytest.raises(SystemExit) as exc:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import sample_field
-from fppkit.geodesics import REL_TOL, GeodesicDag, RegionGraph
+from fppkit.geodesics import GeodesicDag, RegionGraph
 from fppkit.lattice import ProductBox
 from fppkit.oracle import exact_optimal_set
 from fppkit.renormalization import _tight_min_heavy_all
+from fppkit.tolerance import SUM_RTOL
 
 # zero atoms give zero-weight tight cycles (the budgeted walk); the first
 # law keeps the admissible digraph acyclic, and its detours of three light
@@ -41,7 +42,7 @@ def instances(draw):
 
 
 def _close(a: float, b: float) -> bool:
-    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= SUM_RTOL * max(1.0, abs(a), abs(b))
 
 
 def _engine(region, f, x, y):

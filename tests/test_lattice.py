@@ -78,8 +78,8 @@ def test_region_edges_counts():
 def test_l1_ball_edge_count_closed_form():
     for d in range(1, 5):
         for radius in range(7):
-            ball = L1Ball(tuple(range(d)), radius)
-            assert ball.edge_count() == len(RegionGraph(ball).edges), (d, radius)
+            for ball in (L1Ball(tuple(range(d)), radius), LInfBall(tuple(range(d)), radius)):
+                assert ball.edge_count() == len(RegionGraph(ball).edges), (ball, d, radius)
 
 
 def test_region_edges_both_endpoints_inside():

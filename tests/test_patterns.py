@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fppkit.distributions import DistributionSpec
@@ -205,6 +207,11 @@ def test_two_route_zero_atom_exactly_two_optima():
     res = exact_optimal_set(pat.u_end, pat.v_end, pat.region, f)
     assert res.optimum == 0.0
     assert len(res.paths) == 2
+    # the walls sit on the lowest positive atom, never on the zero atom
+    # (so the atom tolerance must stay below the wall level)
+    for spec, k, l in ((spec, 1, 1), (DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.4), (2.0, 0.4))), 2, 1)):
+        intervals = set(two_route_pattern_zero_atom(k, l, spec).event.constraints.values())
+        assert intervals == {(0.0, 0.0), (1.0, math.inf)}
 
 
 def test_two_route_unbounded_two_optima():

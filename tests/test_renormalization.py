@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_field, splice
-from fppkit.geodesics import exact_norm_oracle, first_lex_geodesic
+from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra, exact_norm_oracle, first_lex_geodesic
 from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1, monotone_path
 from fppkit.oracle import region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
@@ -22,6 +23,9 @@ from fppkit.renormalization import (
     typicality_unbounded,
     weakly_crosses,
 )
+from fppkit.renormalization import _pair_sources, _tight_min_heavy_all, _witness_path
+from fppkit.rng import derive_seed
+from fppkit.tolerance import at_least, le, lt
 
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 
@@ -155,6 +159,8 @@ def test_typicality_bounded_clauses_and_locality():
     f_const = constant_field(world, 1.5)
     rep = typicality_bounded(box, f_const, cs, exact_norm_oracle(1.5), pair_sample=10)
     assert rep.clauses[2].passed
+    with pytest.raises(ValueError, match="mu oracle"):
+        typicality_bounded(box, f_const, cs, None)
     # clause (i) fails on a corridor of light edges across B3
     cheap = {
         e: 1.0
@@ -172,6 +178,45 @@ def test_typicality_bounded_clauses_and_locality():
         f2 = splice(f, sample_field(world, ATOMS12, seed + 99), outside)
         r2 = typicality_bounded(box, f2, cs, mu, pair_sample=8)
         assert [c.passed for c in r1.clauses] == [c.passed for c in r2.clauses]
+
+
+def _bounded_reference(box, f, cs, mu, pair_sample):
+    """The per-pair loop behind typicality_bounded: the witness of each clause
+    ("" when it holds) at the first failing (source, target) pair."""
+    graph = RegionGraph(box.outer)
+    w, b3, N, eps = graph.weights_of(f), box.ball(3), box.N, cs.epsilon
+    heavy, threshold = at_least(w, cs.rho + cs.delta), cs.rho + cs.delta
+    wit = ["", "", ""]
+    for i in _pair_sources(graph, pair_sample, derive_seed(1, "pairs", *box.s, N)):
+        dist, vi = dijkstra(graph, w, i), graph.vertices[i]
+        dag = GeodesicDag(graph, w, vi, dist)
+        hmin = _tight_min_heavy_all(dag, heavy) if b3.contains(vi) else {}
+        for j, vj in enumerate(graph.vertices):
+            sep = l1(vi, vj)
+            if sep < N:
+                continue
+            if not wit[1] and lt(dist[j], threshold * sep):
+                wit[1] = f"pair {vi}->{vj}: t={dist[j]:.6g} < {threshold * sep:.6g}; " + _witness_path(dag, j)
+            if b3.contains(vi) and b3.contains(vj):
+                m = mu(tuple(a - b for a, b in zip(vi, vj)))
+                if not wit[2] and not (le((1 - eps) * m - N, dist[j]) and le(dist[j], (1 + eps) * m + N)):
+                    wit[2] = f"pair {vi}->{vj}: t={dist[j]:.6g} vs mu={m:.6g}"
+                if not wit[0] and j in hmin and hmin[j] < cs.alpha * sep:
+                    wit[0] = f"pair {vi}->{vj}: min heavy {hmin[j]} < {cs.alpha * sep:.6g}"
+    return wit
+
+
+def test_typicality_bounded_matches_the_per_pair_loop():
+    box = BoxScale((0, 0), 2, (2, 3, 4, 6), "bounded")
+    graph = RegionGraph(box.outer)
+    for eps, alpha, rate in ((0.45, 0.05, 1.5), (0.0, 0.5, 1.0), (0.1, 0.01, 3.0)):
+        cs = replace(_bounded_constants_small(), epsilon=eps, alpha=alpha)
+        for seed in range(3):
+            f = graph.field_from(graph.sample_weights(ATOMS12, seed))
+            rep = typicality_bounded(box, f, cs, exact_norm_oracle(rate), pair_sample=12, graph4=graph)
+            want = _bounded_reference(box, f, cs, exact_norm_oracle(rate), 12)
+            assert [c.witness for c in rep.clauses] == want
+            assert [c.passed for c in rep.clauses] == [not x for x in want]
 
 
 def test_estimate_nu_quantile():
