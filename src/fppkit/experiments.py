@@ -333,7 +333,7 @@ def run_modification_demo_unbounded(
     )
     graph = RegionGraph(region)
     b2, b3, b1 = box.ball(2), box.outer, box.ball(1)
-    b2_edges = RegionGraph(b2).edges
+    b2_edges = graph.edges_within(b2)
     from .renormalization import estimate_nu
 
     nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * cube_pat.region.edge_count() + 2.0)

@@ -244,7 +244,7 @@ class RegionGraph:
     """The edge index of a region: sorted vertices and their indices, the
     edges in canonical order with each edge's axis, a (vertex index, axis)
     table of edge ids, and the region's bounding-box index.  The arc table
-    and the adjacency lists are built on first search; the packed RNG keys
+    and its CSR form are built on first search; the packed RNG keys
     on first sample."""
 
     def __init__(self, region: Region):
@@ -322,12 +322,12 @@ class RegionGraph:
         return tail, head[tail, rank], edge[tail, rank]
 
     @cached_property
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per vertex, its (neighbour, edge id) pairs in arc-table order."""
-        tail, head, edge = self.arc_table
-        arcs = list(zip(head.tolist(), edge.tolist()))
-        ends = np.cumsum(np.bincount(tail, minlength=self.n)).tolist()
-        return [arcs[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    def arc_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arc table in CSR form, as int32 (indptr, head): the arcs out
+        of u are the slice indptr[u]:indptr[u + 1] of the table."""
+        tail, head, _ = self.arc_table
+        indptr = np.r_[0, np.cumsum(np.bincount(tail, minlength=self.n))]
+        return indptr.astype(np.int32), head.astype(np.int32)
 
     @cached_property
     def lower(self) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 Restricted geodesic times come from Dijkstra over the region's edge graph
 (weights are nonnegative, zero atoms included, so label setting is exact).
-It stays on heapq: with numpy loaded, importing scipy.sparse.csgraph alone
-takes 0.25 s or more, about three times the whole import of the `fpp` CLI.
+Every search is one call of scipy.sparse.csgraph's compiled Dijkstra on the
+region graph's arc table in CSR form.  Its labels are bit-for-bit those of
+a heapq loop: both take the min over paths of the left-to-right float sum.
+scipy is imported on the first search, not with the package: with numpy
+loaded, importing scipy.sparse.csgraph takes 0.25 s or more, about three
+times the whole import of the `fpp` CLI.
 
 `GeodesicDag` is built once per (graph, weights, x, y) and every geodesic
 query reads from it.  All geodesics x -> y live on the admissible arcs
@@ -21,7 +25,6 @@ cycles appear, the longest-geodesic search.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,30 +51,31 @@ class Disconnected(Exception):
 
 def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
     """Distance labels from a source index; unreachable stays +inf."""
-    if np.any(w < 0):
-        raise ValueError("negative weights are not supported")
-    dist = np.full(graph.n, math.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    adj = graph.adjacency
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, eid in adj[u]:
-            nd = du + w[eid]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    if not np.all(w >= 0):
+        raise ValueError("negative or NaN weights are not supported")
+    return arc_dijkstra(graph, w[graph.arc_table[2]], source)
 
 
-def _arc_lists(graph: RegionGraph, mask: np.ndarray, backward: bool = False) -> list[list[tuple[int, int]]]:
-    """Per vertex u, the (v, edge id) of each masked table arc u -> v (or
-    v -> u when backward), in table order."""
+def arc_dijkstra(
+    graph: RegionGraph, cost: np.ndarray, source: int, arcs: np.ndarray | None = None, reverse: bool = False
+) -> np.ndarray:
+    """Labels from source over the table arcs (those where the mask arcs is
+    True), the k-th kept arc costing cost[k]; reverse turns every arc around.
+    scipy keeps explicit zero entries, so zero-cost arcs stay arcs."""
+    from scipy.sparse import csc_array, csr_array
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    indptr, head = graph.arc_csr
+    if arcs is not None:  # same grouping by tail, fewer arcs per group
+        indptr, head = np.r_[0, np.cumsum(arcs)][indptr].astype(np.int32), head[arcs]
+    # read as CSC, the group of tail u lists arcs into u: every arc turned around
+    matrix = (csc_array if reverse else csr_array)((cost, head, indptr), shape=(graph.n, graph.n))
+    return csgraph_dijkstra(matrix, directed=True, indices=source)
+
+
+def _arc_lists(graph: RegionGraph, mask: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per vertex u, the (v, edge id) of each masked table arc u -> v, in table order."""
     tail, head, edge = graph.arc_table
-    if backward:
-        tail, head = head, tail
     out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for u, v, e in zip(tail[mask].tolist(), head[mask].tolist(), edge[mask].tolist()):
         out[u].append((v, e))
@@ -101,10 +105,6 @@ class GeodesicDag:
             raise Disconnected(f"{x} and {y} are disconnected inside the region")
         return dag
 
-    @property
-    def region(self) -> Region:
-        return self.graph.region
-
     def dist_at(self, v: Vertex) -> float:
         return float(self.dist[self.graph.vindex[v]])
 
@@ -128,15 +128,11 @@ class GeodesicDag:
         with dist(u) + T(u,v) = dist(v), in v's direction order."""
         return _arc_lists(self.graph, self._source_tight)
 
-    @cached_property
-    def children(self) -> list[list[tuple[int, int]]]:
-        """The same arcs listed at their tail u, as (v, edge id)."""
-        return _arc_lists(self.graph, self._source_tight, backward=True)
-
     def tight_edges(self) -> set[tuple[Vertex, Vertex]]:
         """Directed arcs (u, v) with dist(v) = dist(u) + T({u,v})."""
-        vs = self.graph.vertices
-        return {(vs[u], vs[v]) for u, out in enumerate(self.children) for v, _ in out}
+        tail, head, _ = self.graph.arc_table
+        vs, tight = self.graph.vertices, self._source_tight
+        return {(vs[u], vs[v]) for v, u in zip(tail[tight].tolist(), head[tight].tolist())}
 
     @cached_property
     def _admissible(self) -> np.ndarray:
@@ -150,28 +146,16 @@ class GeodesicDag:
         return _arc_lists(self.graph, self._admissible)
 
     @cached_property
-    def _into(self) -> list[list[tuple[int, int]]]:
-        return _arc_lists(self.graph, self._admissible, backward=True)
-
-    @cached_property
     def _edge_counts(self) -> np.ndarray:
-        """Fewest edges from each vertex to y along admissible arcs (-1: none)."""
-        yi = self.graph.vindex[self.target]
-        counts = np.full(self.graph.n, -1, dtype=np.int64)
-        counts[yi] = 0
-        queue = [yi]
-        for v in queue:  # breadth first: the list grows while it is read
-            for u, _ in self._into[v]:
-                if counts[u] < 0:
-                    counts[u] = counts[v] + 1
-                    queue.append(u)
-        return counts
+        """Fewest edges from each vertex to y along admissible arcs (+inf: none)."""
+        ones = np.ones(np.count_nonzero(self._admissible))
+        return arc_dijkstra(self.graph, ones, self.graph.vindex[self.target], self._admissible, reverse=True)
 
     def _acyclic_longest(self) -> list[int] | None:
         """Longest x -> y path over admissible arcs, or None if they hold a
         (zero-weight) cycle; ties go to the first arc in direction order."""
         xi, yi = self.graph.vindex[self.source], self.graph.vindex[self.target]
-        indeg = [len(a) for a in self._into]
+        indeg = np.bincount(self.graph.arc_table[1][self._admissible], minlength=self.graph.n).tolist()
         order = [] if indeg[xi] else [xi]  # Kahn's topological order
         for u in order:
             for v, _ in self.arcs[u]:

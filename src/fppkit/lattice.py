@@ -95,7 +95,7 @@ def translate_edge(e: Edge, x: Vertex) -> Edge:
 class LatticePath:
     """A finite sequence of adjacent vertices; |path| counts edges."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_first")
 
     def __init__(self, vertices: Iterable[Vertex]):
         vs = tuple(tuple(v) for v in vertices)
@@ -136,15 +136,17 @@ class LatticePath:
         return len(set(self.vertices)) == len(self.vertices)
 
     def index_of(self, v: Vertex) -> int:
-        return self.vertices.index(tuple(v))
+        """Position of the first visit to v, from a map built on first use."""
+        if not hasattr(self, "_first"):  # later visits go in first, so the first visit wins
+            self._first = dict(zip(reversed(self.vertices), range(len(self.vertices) - 1, -1, -1)))
+        if (i := self._first.get(tuple(v))) is None:
+            raise ValueError(f"{tuple(v)} is not on the path")
+        return i
 
     def subpath(self, a: Vertex, b: Vertex) -> "LatticePath":
         """Contiguous segment from a to b; a must be visited before b."""
         a, b = tuple(a), tuple(b)
-        try:
-            i = self.vertices.index(a)
-        except ValueError:
-            raise ValueError(f"{a} is not on the path") from None
+        i = self.index_of(a)
         try:
             j = self.vertices.index(b, i)
         except ValueError:

@@ -386,9 +386,7 @@ class PlanUnbounded:
     target: EdgeConstraintSet  # event for the donor environment on B2 edges
     nu_N: float
     delta_prime: float
-
-    def splice_edges(self) -> list[Edge]:
-        return RegionGraph(self.box.ball(2)).edges
+    b2_edges: list[Edge]  # the spliced edges, in edge order
 
     def dump(self) -> str:
         return "\n".join(
@@ -433,8 +431,9 @@ def build_plan_unbounded(
     pi_edges = set(pi.edges())
     cube_edges = {e for e in pi_edges if cube.contains_edge(e)}
     e_minus = frozenset(pi_edges - cube_edges)
-    graph = RegionGraph(b2)
-    e_plus = frozenset(set(graph.edges) - set(RegionGraph(cube).edges) - pi_edges)
+    graph = f.graph
+    b2_edges = graph.edges_within(b2)
+    e_plus = frozenset(set(b2_edges) - set(graph.edges_within(cube)) - pi_edges)
     nu_val = nu_N if nu_N is not None else constants.nu_of_N.get(box.N)
     if nu_val is None:
         raise PlanError(f"no nu(N) for N={box.N}")
@@ -446,7 +445,7 @@ def build_plan_unbounded(
     )
     return PlanUnbounded(
         box, pattern, gamma, u, v, pi, pi_u, pi_v, u_end, v_end,
-        e_plus, e_minus, target, nu_val, constants.delta_prime,
+        e_plus, e_minus, target, nu_val, constants.delta_prime, b2_edges,
     )
 
 
@@ -507,7 +506,7 @@ def verify_modification_unbounded(
     if not plan.target.satisfied_by(donor):
         raise PlanError("donor field does not satisfy the target event")
     rep = VerificationReport()
-    star = splice(f, donor, plan.splice_edges())
+    star = splice(f, donor, plan.b2_edges)
     zero = (0,) * len(x)
     t_old, _ = restricted_geodesic_time(zero, x, f, graph=graph)
     t_new, star_dag = restricted_geodesic_time(zero, x, star, graph=graph)

@@ -1,9 +1,10 @@
 """Exhaustive ground truth on small instances.
 
-Three independent routes, deliberately different from the engine:
+Four independent routes, deliberately different from the engine:
   * a lexicographic DFS stream of all self-avoiding paths,
   * branch-and-bound optimal-path search pruned only by rho * l1 distance,
-  * Floyd-Warshall min-plus closure for all-pairs optimum values.
+  * Floyd-Warshall min-plus closure for all-pairs optimum values,
+  * a heapq Dijkstra over an edge-keyed adjacency (the kernel's labels).
 None of them shares code with the Dijkstra/DAG machinery they check, and
 `region_edges` lists a region's edges by membership tests, apart from the
 vectorised index in `RegionGraph`.
@@ -11,6 +12,7 @@ vectorised index in `RegionGraph`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time as _time
 from dataclasses import dataclass
@@ -171,6 +173,33 @@ def region_edges(region: Region) -> list[Edge]:
                 out.append((v, w))
     out.sort()
     return out
+
+
+def heap_dijkstra(adjacency: dict, source) -> dict:
+    """Labels of the nodes reachable from source: label setting with a
+    binary heap over adjacency[u] = [(v, cost), ...], costs >= 0."""
+    best, heap = {source: 0}, [(0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > best[u]:
+            continue
+        for v, cost in adjacency[u]:
+            nd = du + cost
+            if nd < best.get(v, math.inf):
+                best[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return best
+
+
+def restricted_times(region: Region, f: WeightField, source: Vertex) -> dict[Vertex, float]:
+    """Restricted times from source to each reachable vertex of the region,
+    by heap_dijkstra over the region's edges keyed by vertex."""
+    times = dict(zip(f.edges(), f.w.tolist()))
+    adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in region.vertices()}
+    for a, b in region_edges(region):
+        adjacency[a].append((b, times[(a, b)]))
+        adjacency[b].append((a, times[(a, b)]))
+    return heap_dijkstra(adjacency, tuple(source))
 
 
 def floyd_warshall_times(region: Region, f: WeightField) -> tuple[list[Vertex], np.ndarray]:

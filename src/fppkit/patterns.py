@@ -171,8 +171,8 @@ def condition_holds(x: Vertex, path: LatticePath, p: Pattern, f: WeightField) ->
 
 def pattern_hits(path: LatticePath, p: Pattern, f: WeightField) -> list[PatternHit]:
     """All hits, in path order of the entry index.  The scan tries only
-    the translates that put the u-endpoint on the path, but each try finds
-    both endpoints with `index_of`, a linear search: O(|path|^2) in all."""
+    the translates that put the u-endpoint on the path, and each try finds
+    both endpoints with `index_of`, a dict lookup."""
     candidates = {vsub(v, p.u_end) for v in path.vertices}
     hits = []
     for x in candidates:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import WeightField
-from .geodesics import GeodesicDag, RegionGraph, _resolve, dijkstra
+from .geodesics import GeodesicDag, RegionGraph, _resolve, arc_dijkstra, dijkstra
 from .lattice import (
     LatticePath,
     L1Ball,
@@ -418,32 +418,19 @@ def typicality_unbounded(
     if pair_sample is not None and pair_sample < graph.n:
         name2 += f" [subsampled {len(sources)} sources]"
     c2 = ClauseReport(name2, ok, witness)
-    total = sum(f.times_at(RegionGraph(b2).edges).tolist())
+    total = sum(f.times_at(graph.edges_within(b2)).tolist())
     c3 = ClauseReport("(iii) B2 weight sum", total < nu_N, f"sum={total:.6g} vs nu(N)={nu_N:.6g}")
     below = constants.r2 > r2 or constants.r3 > box.radii[2]
     return TypicalityReport(box, (c1, c2, c3), below)
 
 
-def _tight_min_heavy_all(dag: GeodesicDag, heavy: np.ndarray) -> dict[int, int]:
+def _tight_min_heavy_all(dag: GeodesicDag, heavy: np.ndarray) -> np.ndarray:
     """Min number of heavy edges over restricted-optimal source -> . paths,
-    for every target at once (Dijkstra with unit heavy-cost on the
-    single-source tight arcs)."""
-    import heapq
-
-    ui = dag.graph.vindex[dag.source]
-    best = {ui: 0}
-    heap = [(0, ui)]
-    children = dag.children
-    while heap:
-        h, i = heapq.heappop(heap)
-        if h > best.get(i, 1 << 60):
-            continue
-        for j, eid in children[i]:
-            nh = h + int(heavy[eid])
-            if nh < best.get(j, 1 << 60):
-                best[j] = nh
-                heapq.heappush(heap, (nh, j))
-    return best
+    for every target at once (+inf where none): 0/1 costs on the single-
+    source tight arcs, each masked table arc v -> u read as u -> v."""
+    tight = dag._source_tight
+    cost = heavy[dag.graph.arc_table[2][tight]].astype(np.float64)
+    return arc_dijkstra(dag.graph, cost, dag.graph.vindex[dag.source], arcs=tight, reverse=True)
 
 
 def typicality_bounded(
@@ -509,13 +496,12 @@ def typicality_bounded(
                 c3_ok, c3_wit = False, f"pair {vi}->{graph4.vertices[j]}: t={dist[j]:.6g} vs mu={mu[k]:.6g}"
         # clause (i): heavy-edge density on restricted-optimal paths
         if c1_ok:
-            hmin_all = _tight_min_heavy_all(dag, heavy)
-            for j in js.tolist():
-                hmin = hmin_all.get(j)
-                if hmin is not None and hmin < alpha * sep[j]:
-                    c1_ok = False
-                    c1_wit = f"pair {vi}->{graph4.vertices[j]}: min heavy {hmin} < {alpha * sep[j]:.6g}"
-                    break
+            hmin = _tight_min_heavy_all(dag, heavy)[js]
+            few = np.flatnonzero(hmin < alpha * sep[js])
+            if len(few):
+                k, j = int(few[0]), int(js[few[0]])
+                c1_ok = False
+                c1_wit = f"pair {vi}->{graph4.vertices[j]}: min heavy {int(hmin[k])} < {alpha * sep[j]:.6g}"
     suffix = ""
     if pair_sample is not None and pair_sample < graph4.n:
         suffix = f" [subsampled {len(sources)} sources]"

@@ -2,19 +2,25 @@
 
 The admissible and single-source arc lists are checked against per-arc
 loops kept here as the reference, and the enumerated geodesics, extremal
-lengths and heavy-edge minimum against the exhaustive oracle.
+lengths and heavy-edge minimum against the exhaustive oracle.  The
+compiled shortest-path kernel is checked bit for bit against the oracle's
+heapq Dijkstra.
 """
 
 import math
+import subprocess
+import sys
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import sample_field
-from fppkit.geodesics import GeodesicDag, RegionGraph
-from fppkit.lattice import ProductBox
-from fppkit.oracle import exact_optimal_set
+from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra
+from fppkit.lattice import L1Ball, ProductBox, canonical_edge, direction_order, vadd
+from fppkit.oracle import exact_optimal_set, heap_dijkstra, region_edges, restricted_times
 from fppkit.renormalization import _tight_min_heavy_all
 from fppkit.tolerance import SUM_RTOL
 
@@ -50,20 +56,35 @@ def _engine(region, f, x, y):
     return GeodesicDag.between(graph, graph.weights_of(f), x, y)
 
 
+def _adjacency(region):
+    """Per vertex index, its (neighbour index, edge id) pairs in direction
+    order e1 < -e1 < e2 < ..., read off the oracle's sorted edge list."""
+    vertices = sorted(region.vertices())
+    index = {v: i for i, v in enumerate(vertices)}
+    eid = {e: i for i, e in enumerate(region_edges(region))}
+    steps = direction_order(region.dim)
+    return [
+        [(index[vadd(u, s)], eid[canonical_edge(u, vadd(u, s))]) for s in steps if vadd(u, s) in index]
+        for u in vertices
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(instances())
 def test_arc_lists_equal_per_arc_loops(inst):
     region, f, x, y = inst
     dag = _engine(region, f, x, y)
     g, w, dx, dy, t = dag.graph, dag.weights, dag.dist, dag.dist_y, dag.time
+    adjacency = _adjacency(region)
     for u in range(g.n):
         assert dag.arcs[u] == [
-            (v, e) for v, e in g.adjacency[u] if _close(dx[u] + w[e] + dy[v], t)
+            (v, e) for v, e in adjacency[u] if _close(dx[u] + w[e] + dy[v], t)
         ]
-        assert dag.parents[u] == [(v, e) for v, e in g.adjacency[u] if _close(dx[v] + w[e], dx[u])]
-        assert sorted(dag.children[u]) == sorted(
-            (v, e) for v, e in g.adjacency[u] if _close(dx[u] + w[e], dx[v])
-        )
+        assert dag.parents[u] == [(v, e) for v, e in adjacency[u] if _close(dx[v] + w[e], dx[u])]
+    vs = g.vertices
+    assert dag.tight_edges() == {
+        (vs[u], vs[v]) for u in range(g.n) for v, e in adjacency[u] if _close(dx[u] + w[e], dx[v])
+    }
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,3 +108,66 @@ def test_engine_agrees_with_oracle(inst):
     hmin = _tight_min_heavy_all(GeodesicDag(g, dag.weights, x, dag.dist), heavy)
     brute = min(sum(f.time(e) >= HEAVY for e in p.edges()) for p in truth.paths)
     assert hmin[g.vindex[y]] == brute
+
+
+KERNEL_LAWS = (
+    DistributionSpec(atoms=((0.0, 0.4), (1.0, 0.3), (2.0, 0.3))),
+    DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5))),
+    DistributionSpec(uniforms=((1.0, 2.0, 1.0),)),
+)
+
+
+@st.composite
+def kernel_instances(draw):
+    shape = draw(st.sampled_from(("box", "ball", "cube")))
+    if shape == "box":
+        cols, rows = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+        region = ProductBox((0, 0), (cols - 1, rows - 1))
+    elif shape == "ball":
+        region = L1Ball((0, 0), draw(st.integers(1, 4)))
+    else:
+        region = ProductBox((0, 0, 0), (2, 2, 1))
+    graph = RegionGraph(region)
+    w = graph.sample_weights(draw(st.sampled_from(KERNEL_LAWS)), draw(st.integers(0, 2**32 - 1)))
+    return region, graph, w, draw(st.integers(0, graph.n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_instances())
+def test_kernel_labels_equal_heapq_bit_for_bit(inst):
+    region, graph, w, source = inst
+    truth = restricted_times(region, graph.field_from(w), graph.vertices[source])
+    want = np.array([truth.get(v, math.inf) for v in graph.vertices])
+    assert np.array_equal(dijkstra(graph, w, source), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_instances())
+def test_tight_min_heavy_all_equals_the_heapq_dict(inst):
+    region, graph, w, source = inst
+    dag = GeodesicDag(graph, w, graph.vertices[source], dijkstra(graph, w, source))
+    heavy = w >= HEAVY
+    # the loop the kernel replaced: heapq over the single-source tight arcs u -> v
+    children = {u: [] for u in range(graph.n)}
+    for v, out in enumerate(dag.parents):
+        for u, e in out:
+            children[u].append((v, int(heavy[e])))
+    truth = heap_dijkstra(children, source)
+    hmin = _tight_min_heavy_all(dag, heavy)
+    assert np.array_equal(hmin, [truth.get(j, math.inf) for j in range(graph.n)])
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_dijkstra_refuses_negative_and_nan_weights(bad):
+    graph = RegionGraph(ProductBox((0, 0), (2, 2)))
+    w = np.ones(len(graph.edges))
+    w[3] = bad
+    with pytest.raises(ValueError, match="negative or NaN"):
+        dijkstra(graph, w, 0)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported on the first search, not with the package
+    code = "import sys, numpy, fppkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

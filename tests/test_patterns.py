@@ -25,6 +25,7 @@ from fppkit.patterns import (
     inner_optimal_paths,
     atom_square_pattern,
     orient_pattern,
+    pattern_hits,
     shift_concavity_pattern,
     shift_concavity_properties,
     shift_concavity_search_delta,
@@ -152,6 +153,27 @@ def test_count_occurrences_three_disjoint_hits():
     assert count_disjoint_occurrences(g, pat, f) == 3
     # the support translated by (9, 0) covers x = 9, 10, past the box
     assert [h.translate for h in hits_inside(g, pat, f, ProductBox((0, 0), (9, 0)))] == [(1, 0), (5, 0)]
+
+
+def test_index_of_is_the_first_visit():
+    g = LatticePath([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (2, 0)])
+    assert [g.index_of(v) for v in [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0)]] == [0, 1, 2, 3, 6]
+    assert g.index_of([1, 0]) == 1
+    with pytest.raises(ValueError):
+        g.index_of((5, 5))
+
+
+def test_pattern_hits_on_a_long_straight_path():
+    n = 2000
+    pat = heavy_edge_pattern(2.0)
+    f = sample_field(ProductBox((0, -1), (n, 1)), ATOMS12, 11)
+    g = monotone_path((0, 0), (n, 0))
+    # per candidate: the translate x = (i, 0) hits iff its edge is heavy
+    want = [(i, i + 1) for i in range(n) if f.time(((i, 0), (i + 1, 0))) >= 2.0]
+    hits = pattern_hits(g, pat, f)
+    assert [(h.entry_index, h.exit_index) for h in hits] == want
+    assert [h.translate for h in hits] == [(i, 0) for i, _ in want]
+    assert 800 < len(want) < 1200
 
 
 def test_count_occurrences_bounded_by_vertices():

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -190,7 +191,9 @@ def _bounded_reference(box, f, cs, mu, pair_sample):
     for i in _pair_sources(graph, pair_sample, derive_seed(1, "pairs", *box.s, N)):
         dist, vi = dijkstra(graph, w, i), graph.vertices[i]
         dag = GeodesicDag(graph, w, vi, dist)
-        hmin = _tight_min_heavy_all(dag, heavy) if b3.contains(vi) else {}
+        hmin = {}
+        if b3.contains(vi):  # the labels of the reachable targets, as ints
+            hmin = {j: int(h) for j, h in enumerate(_tight_min_heavy_all(dag, heavy)) if h < math.inf}
         for j, vj in enumerate(graph.vertices):
             sep = l1(vi, vj)
             if sep < N:
