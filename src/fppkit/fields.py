@@ -8,6 +8,13 @@ times: on the 215,824-edge orientation cube one took 14.9 MB against the
 array's 1.6 MB, and converting between the two forms cost about 0.1 s each
 way per sample.  Single edges are read through the graph's O(1) (vertex
 index, axis) table of edge ids.
+
+A graph's edges are an `EdgeList`: a read-only list of edge tuples that
+also carries their lower endpoints and axes as arrays.  Every function that
+takes edges reads those arrays when it is given an `EdgeList` and converts
+tuples to arrays otherwise; on the orientation cube the conversion took
+0.06 s per call.  The arrays are the graph's own, not a reference back to
+it, so a graph is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -52,9 +59,59 @@ def _edge(z: np.ndarray, axis: int) -> Edge:
     return tuple(z.tolist()), tuple((z + np.eye(len(z), dtype=np.int64)[axis]).tolist())
 
 
+class EdgeList(list):
+    """Edges in canonical order with their lower endpoints (edges x d) and
+    axes as read-only arrays.  The packed RNG keys and the table behind
+    `ids_at` are built on first use.
+
+    The list cannot be changed in place, so the arrays cannot go stale;
+    slices, copies and concatenations are plain lists.  It holds no
+    reference to the graph that made it.
+    """
+
+    def __init__(self, edges: list[Edge], lower: np.ndarray, axis: np.ndarray):
+        super().__init__(edges)
+        self.lower, self.axis = lower.view(), axis.view()
+        self.lower.flags.writeable = self.axis.flags.writeable = False
+
+    def __reduce__(self):  # the cached keys and table are rebuilt on first use
+        return EdgeList, (list(self), self.lower, self.axis)
+
+    @cached_property
+    def keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return pack_edge_keys(self.lower, self.axis)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The origin of the lower endpoints' bounding box, and the position
+        of edge {origin + z, origin + z + e_axis} at [*z, axis] (-1: none)."""
+        d = self.lower.shape[1]
+        origin = self.lower.min(axis=0) if len(self) else np.zeros(d, dtype=np.int64)
+        rel = self.lower - origin
+        table = np.full((*(rel.max(axis=0, initial=0) + 1), d), -1, dtype=np.intp)
+        table[(*rel.T, self.axis)] = np.arange(len(self))
+        return origin, table
+
+    def ids_at(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
+        """Positions of the edges {z, z + e_axis} for the rows z of lower,
+        -1 where that edge is not in the list."""
+        origin, table = self._table
+        rel = lower - origin
+        inside = np.all((rel >= 0) & (rel < table.shape[:-1]), axis=1)
+        return np.where(inside, table[(*np.where(inside[:, None], rel, 0).T, axis)], -1)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an EdgeList is read-only; list(edges) gives an editable copy")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
 def _lower_and_axis(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower endpoints (n x d), axes, and which pairs are two lattice
     neighbours, for vertex pairs given in either order."""
+    if isinstance(edges, EdgeList):
+        return edges.lower, edges.axis, np.ones(len(edges), dtype=bool)
     d = len(edges[0][0]) if edges else 1  # a 0 x 1 array broadcasts against any d
     ends = np.fromiter(chain.from_iterable(u + v for u, v in edges), np.int64, 2 * d * len(edges))
     ends = ends.reshape(len(edges), 2, d)
@@ -174,23 +231,6 @@ class EdgeConstraintSet:
         return bool(np.all(in_interval(f.w[ids], self.lo, self.hi)))
 
 
-def _sample(spec: DistributionSpec, seed: int, keys, constraints, ids) -> np.ndarray:
-    """Per-edge times from packed edge keys; ids[i] is the position of
-    constraint i in the key arrays (-1 outside).  Each distinct interval is
-    checked for mass and sampled with one conditional_ppf call."""
-    u = edge_uniforms(seed, *keys)
-    times = spec.ppf(u)
-    if constraints is not None and len(constraints):
-        if np.any(ids < 0):
-            raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
-        for lo, hi, members in constraints.intervals:
-            if not spec.has_mass_in(lo, hi):
-                raise ValueError(f"constraint [{lo}, {hi}] on {constraints.edge(members[0])} has zero mass")
-            idx = ids[members]
-            times[idx] = spec.conditional_ppf(u[idx], lo, hi)
-    return times
-
-
 def _checked(edges: list[Edge], ids: np.ndarray, error: type, message: str) -> np.ndarray:
     """ids, after raising error(message naming the first edge whose id is -1)."""
     bad = np.flatnonzero(ids < 0)
@@ -214,6 +254,8 @@ def _positions(keys: tuple[np.ndarray, np.ndarray], wanted: tuple[np.ndarray, np
 def _edge_arrays(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
     """Packed keys of edges given in either endpoint order; ValueError names
     the first pair that is not two lattice neighbours."""
+    if isinstance(edges, EdgeList):
+        return edges.keys
     lower, axis, ok = _lower_and_axis(edges)
     if not ok.all():
         raise ValueError("{} and {} are not lattice neighbors".format(*edges[np.argmin(ok)]))
@@ -232,20 +274,32 @@ def edge_times_for(
     lattice neighbours raises ValueError.  Constrained edges are sampled
     from the law conditioned to their interval via the inverse CDF on the
     same per-edge uniform, so adding a constraint never perturbs other
-    edges.  For the edges of a region, `RegionGraph.sample_weights` gives
-    the same array from cached keys.
+    edges; each distinct interval is checked for mass and sampled with one
+    conditional_ppf call.  Given an `EdgeList` (a graph's edges), it reads
+    the list's keys and id table and never its tuples.
     """
     keys = _edge_arrays(edges)
-    ids = None if constraints is None else _positions(keys, pack_edge_keys(constraints.lower, constraints.axis))
-    return _sample(spec, seed, keys, constraints, ids)
+    u = edge_uniforms(seed, *keys)
+    times = spec.ppf(u)
+    if constraints is not None and len(constraints):
+        wanted = constraints.lower, constraints.axis
+        ids = edges.ids_at(*wanted) if isinstance(edges, EdgeList) else _positions(keys, pack_edge_keys(*wanted))
+        if np.any(ids < 0):
+            raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
+        for lo, hi, members in constraints.intervals:
+            if not spec.has_mass_in(lo, hi):
+                raise ValueError(f"constraint [{lo}, {hi}] on {constraints.edge(members[0])} has zero mass")
+            idx = ids[members]
+            times[idx] = spec.conditional_ppf(u[idx], lo, hi)
+    return times
 
 
 class RegionGraph:
     """The edge index of a region: sorted vertices and their indices, the
-    edges in canonical order with each edge's axis, a (vertex index, axis)
-    table of edge ids, and the region's bounding-box index.  The arc table
-    and its CSR form are built on first search; the packed RNG keys
-    on first sample."""
+    edges in canonical order as an `EdgeList` (whose arrays, keys and id
+    table the graph shares), and a (vertex index, axis) table of edge ids
+    for single edges.  The arc table and its CSR form are built on first
+    search."""
 
     def __init__(self, region: Region):
         self.region = region
@@ -254,9 +308,8 @@ class RegionGraph:
         d = region.dim
         self.coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, d)
         # vertex index at each point of the bounding box (one wider at the top), -1 off the region
-        self._origin = self.coords.min(axis=0)
-        rel = self.coords - self._origin
-        self._box = box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
+        rel = self.coords - self.coords.min(axis=0)
+        box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
         box[tuple(rel.T)] = np.arange(self.n)
         # the +e_a neighbours, axes reversed: edge {v, v + e_a} has rank (v, d - 1 - a) in edge order
         up = np.stack([box[tuple((rel + step).T)] for step in np.eye(d, dtype=np.int64)[::-1]], axis=1)
@@ -265,15 +318,22 @@ class RegionGraph:
         eid[has] = np.arange(np.count_nonzero(has))
         self._eid = np.ascontiguousarray(eid[:, ::-1])
         lower, rank = np.nonzero(has)
-        self.axis = d - 1 - rank
         self._ends = (lower, up[has])
-        self.edges: list[Edge] = [
-            (self.vertices[i], self.vertices[j]) for i, j in zip(lower.tolist(), up[has].tolist())
-        ]
+        edges = [(self.vertices[i], self.vertices[j]) for i, j in zip(lower.tolist(), up[has].tolist())]
+        self.edges = EdgeList(edges, self.coords[lower], d - 1 - rank)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Each edge's lower endpoint, as an (edges x d) coordinate array."""
+        return self.edges.lower
+
+    @property
+    def axis(self) -> np.ndarray:
+        return self.edges.axis
 
     def edge_id(self, e: Edge) -> int:
         """Id of the canonical edge e, -1 when it is not an edge of the region."""
@@ -282,24 +342,22 @@ class RegionGraph:
 
     def edge_ids(self, edges: Iterable[Edge]) -> np.ndarray:
         """Ids of edges given in either endpoint order, -1 outside the region."""
-        lower, axis, ok = _lower_and_axis(list(edges))
+        lower, axis, ok = _lower_and_axis(edges if isinstance(edges, list) else list(edges))
         return np.where(ok, self.ids_at(lower, axis), -1)
 
     def ids_at(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
         """Ids of the edges {z, z + e_axis} for the rows z of lower, -1 where
         that edge is not in the region."""
-        rel = lower - self._origin
-        inside = np.all((rel >= 0) & (rel < self._box.shape), axis=1)
-        v = np.where(inside, self._box[tuple(np.where(inside[:, None], rel, 0).T)], -1)
-        return np.where(v >= 0, self._eid[v, axis], -1)
+        return self.edges.ids_at(lower, axis)
 
-    def edges_within(self, region: Region) -> list[Edge]:
+    def edges_within(self, region: Region) -> EdgeList:
         """The edges of a sub-region, in its own edge order, read off this
         index; every vertex of the sub-region must lie in this region."""
         inside = np.zeros(self.n, dtype=bool)
         inside[[self.vindex[v] for v in region.vertices()]] = True
         lower, upper = self._ends
-        return [self.edges[i] for i in np.flatnonzero(inside[lower] & inside[upper]).tolist()]
+        ids = np.flatnonzero(inside[lower] & inside[upper])
+        return EdgeList([self.edges[i] for i in ids.tolist()], self.lower[ids], self.axis[ids])
 
     def boundary_indices(self) -> frozenset[int]:
         """Vertices with a lattice neighbour outside the region."""
@@ -329,22 +387,11 @@ class RegionGraph:
         indptr = np.r_[0, np.cumsum(np.bincount(tail, minlength=self.n))]
         return indptr.astype(np.int32), head.astype(np.int32)
 
-    @cached_property
-    def lower(self) -> np.ndarray:
-        """Each edge's lower endpoint, as an (edges x d) coordinate array."""
-        return self.coords[self._ends[0]]
-
-    @cached_property
-    def _packed_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        return pack_edge_keys(self.lower, self.axis)
-
     def sample_weights(
         self, spec: DistributionSpec, seed: int, constraints: EdgeConstraintSet | None = None
     ) -> np.ndarray:
-        """Edge times in edge order, equal to edge_times_for(self.edges, ...);
-        each constraint interval must carry mass."""
-        ids = None if constraints is None else self.ids_at(constraints.lower, constraints.axis)
-        return _sample(spec, seed, self._packed_keys, constraints, ids)
+        """Edge times in edge order: edge_times_for(self.edges, ...)."""
+        return edge_times_for(self.edges, spec, seed, constraints)
 
     def field_from(self, w: np.ndarray, seed: int = -1) -> WeightField:
         """The field with times w (in edge order) on this graph: a read-only
@@ -487,7 +534,7 @@ def constraint_probability(spec: DistributionSpec, constraints: EdgeConstraintSe
 
 def splice(base: WeightField, donor: WeightField, edges: Iterable[Edge]) -> WeightField:
     """Pointwise selection: donor's times on the given edges, base elsewhere."""
-    edges = [canonical_edge(*e) for e in edges]
+    edges = edges if isinstance(edges, EdgeList) else [canonical_edge(*e) for e in edges]
     ids = _checked(edges, base.graph.edge_ids(edges), ValueError, "edge {} outside the base field")
     w = base.w.copy()
     w[ids] = donor.w[ids] if donor.graph.region == base.region else donor.times_at(edges)

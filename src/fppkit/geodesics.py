@@ -26,6 +26,7 @@ cycles appear, the longest-geodesic search.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,20 +74,33 @@ def arc_dijkstra(
     return csgraph_dijkstra(matrix, directed=True, indices=source)
 
 
-def _arc_lists(graph: RegionGraph, mask: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Per vertex u, the (v, edge id) of each masked table arc u -> v, in table order."""
-    tail, head, edge = graph.arc_table
-    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for u, v, e in zip(tail[mask].tolist(), head[mask].tolist(), edge[mask].tolist()):
-        out[u].append((v, e))
-    return out
+class _ArcLists(Sequence):
+    """Per vertex u, the (v, edge id) of each masked table arc u -> v, in
+    table order, held in CSR form: one list of pairs and the offsets of
+    each vertex's group.  Item u is a new list sliced from the pairs; a
+    tight DAG holds few arcs, and a list per vertex cost more than the
+    search on the 108,241-vertex cube."""
+
+    __slots__ = ("indptr", "pairs")
+
+    def __init__(self, graph: RegionGraph, mask: np.ndarray):
+        tail, head, edge = graph.arc_table
+        self.indptr = np.r_[0, np.cumsum(np.bincount(tail[mask], minlength=graph.n))].tolist()
+        self.pairs = list(zip(head[mask].tolist(), edge[mask].tolist()))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, u: int) -> list[tuple[int, int]]:
+        return self.pairs[self.indptr[u] : self.indptr[u + 1]]
 
 
 @dataclass
 class GeodesicDag:
     """The tight digraph of one weight array from `source` and, when a
     target is set, between the two.  Everything beyond `dist` (the labels
-    from the source) is built on first use."""
+    from the source) is built on first use; `arcs` and `parents` index
+    like lists of per-vertex arc lists but are held in CSR form."""
 
     graph: RegionGraph
     weights: np.ndarray
@@ -123,10 +137,10 @@ class GeodesicDag:
         return close(self.dist[head] + self.weights[edge], self.dist[tail])
 
     @cached_property
-    def parents(self) -> list[list[tuple[int, int]]]:
+    def parents(self) -> Sequence[list[tuple[int, int]]]:
         """Single-source tight arcs into each vertex v: the (u, edge id)
         with dist(u) + T(u,v) = dist(v), in v's direction order."""
-        return _arc_lists(self.graph, self._source_tight)
+        return _ArcLists(self.graph, self._source_tight)
 
     def tight_edges(self) -> set[tuple[Vertex, Vertex]]:
         """Directed arcs (u, v) with dist(v) = dist(u) + T({u,v})."""
@@ -140,10 +154,10 @@ class GeodesicDag:
         return close(self.dist[tail] + self.weights[edge] + self.dist_y[head], self.time)
 
     @cached_property
-    def arcs(self) -> list[list[tuple[int, int]]]:
+    def arcs(self) -> Sequence[list[tuple[int, int]]]:
         """Admissible arcs out of each vertex u: the (v, edge id) with
         dist_x(u) + T(u,v) + dist_y(v) = t(x,y), in u's direction order."""
-        return _arc_lists(self.graph, self._admissible)
+        return _ArcLists(self.graph, self._admissible)
 
     @cached_property
     def _edge_counts(self) -> np.ndarray:
@@ -195,8 +209,9 @@ class GeodesicDag:
                 on_path.discard(stack.pop())
                 iters.pop()
                 continue
-            while iters[-1] < len(arcs[u]):
-                v, _ = arcs[u][iters[-1]]
+            out = arcs[u]
+            while iters[-1] < len(out):
+                v, _ = out[iters[-1]]
                 iters[-1] += 1
                 if v not in on_path:
                     expansions += 1

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .rng import COORD_BOUND
 
 Vertex = tuple[int, ...]
@@ -232,6 +234,10 @@ class Region:
     def contains(self, v: Vertex) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def mask(self, coords: np.ndarray) -> np.ndarray:
+        """contains, for each row of an (n x d) integer array."""
+        return np.fromiter((self.contains(tuple(v)) for v in coords.tolist()), bool, len(coords))
+
     def vertices(self) -> Iterator[Vertex]:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -272,6 +278,9 @@ class ProductBox(Region):
     def contains(self, v: Vertex) -> bool:
         return len(v) == self.dim and all(a <= c <= b for a, c, b in zip(self.lo, v, self.hi))
 
+    def mask(self, coords: np.ndarray) -> np.ndarray:
+        return np.all((np.array(self.lo) <= coords) & (coords <= np.array(self.hi)), axis=1)
+
     def vertices(self) -> Iterator[Vertex]:
         return _box_vertices(self.lo, self.hi)
 
@@ -292,6 +301,9 @@ class L1Ball(Region):
 
     def contains(self, v: Vertex) -> bool:
         return len(v) == self.dim and l1(v, self.center) <= self.radius
+
+    def mask(self, coords: np.ndarray) -> np.ndarray:
+        return np.abs(coords - np.array(self.center)).sum(axis=1) <= self.radius
 
     def vertices(self) -> Iterator[Vertex]:
         lo = tuple(c - self.radius for c in self.center)
@@ -321,6 +333,9 @@ class LInfBall(Region):
 
     def contains(self, v: Vertex) -> bool:
         return len(v) == self.dim and linf(v, self.center) <= self.radius
+
+    def mask(self, coords: np.ndarray) -> np.ndarray:
+        return np.abs(coords - np.array(self.center)).max(axis=1, initial=0) <= self.radius
 
     def vertices(self) -> Iterator[Vertex]:
         lo = tuple(c - self.radius for c in self.center)
@@ -360,6 +375,10 @@ class Annulus(Region):
 
     def contains(self, v: Vertex) -> bool:
         return len(v) == self.dim and self.inner_norm <= l1(v) < self.outer_norm
+
+    def mask(self, coords: np.ndarray) -> np.ndarray:
+        norm = np.abs(coords).sum(axis=1)
+        return (self.inner_norm <= norm) & (norm < self.outer_norm)
 
     def vertices(self) -> Iterator[Vertex]:
         rad = self.outer_norm - 1

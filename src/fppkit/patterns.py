@@ -30,6 +30,7 @@ from .lattice import (
     direction_order,
     l1,
     monotone_path,
+    neighbors,
     straight_path,
     unit,
     vadd,
@@ -57,11 +58,12 @@ class Pattern:
     def __post_init__(self):
         if self.u_end == self.v_end:
             raise ValueError("endpoints must be distinct")
-        graph = RegionGraph(self.region)
-        boundary = graph.boundary_indices()
-        if any(graph.vindex.get(z) not in boundary for z in (self.u_end, self.v_end)):
-            raise ValueError("endpoints must lie on the support boundary")
-        bad = np.flatnonzero(graph.ids_at(self.event.lower, self.event.axis) < 0)
+        region, event = self.region, self.event
+        for z in (self.u_end, self.v_end):
+            if not region.contains(z) or all(map(region.contains, neighbors(z))):
+                raise ValueError("endpoints must lie on the support boundary")
+        upper = event.lower + np.eye(region.dim, dtype=np.int64)[event.axis]
+        bad = np.flatnonzero(~(region.mask(event.lower) & region.mask(upper)))
         if len(bad):
             edges = [self.event.edge(i) for i in bad[:3]]
             raise ValueError(f"event constrains edges outside the support: {edges}")

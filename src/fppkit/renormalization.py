@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -562,22 +563,14 @@ def m_sequence(
     first such box in crossing order, residual ties by lexicographic
     center.  is_typical(s) decides typicality of the box centered at sN.
     """
-    d = len(path.vertices[0])
+    coords = np.array(path.vertices, dtype=np.int64).reshape(len(path.vertices), -1)
     # first index at which the path reaches the outer sphere of annulus i
-    exit_at: dict[int, int] = {}
-    for k, v in enumerate(path.vertices):
-        norm = l1(v)
-        if norm > 0 and norm % (r * N) == 0:
-            exit_at.setdefault(norm // (r * N), k)
-    # first crossing index per candidate box center
-    first_cross: dict[Vertex, int] = {}
-    for k, v in enumerate(path.vertices):
-        base = tuple(round(c / N) for c in v)
-        for s in _centers_near(base, r1 + 1, d):
-            if s not in first_cross and l1(v, vscale(N, s)) <= r1 * N:
-                first_cross[s] = k
+    norm = np.abs(coords).sum(axis=1)
+    on_sphere = np.flatnonzero((norm > 0) & (norm % (r * N) == 0))
+    annuli, first = np.unique(norm[on_sphere] // (r * N), return_index=True)
+    exit_at = dict(zip(annuli.tolist(), on_sphere[first].tolist()))
     best_per_annulus: dict[int, tuple[int, Vertex]] = {}
-    for s, k in sorted(first_cross.items(), key=lambda t: (t[1], t[0])):
+    for s, k in _first_crossings(coords, N, r1):
         i = box_in_annulus(s, N, outer_radius, r)
         if i is None:
             continue
@@ -599,11 +592,19 @@ def m_sequence(
     return MSequence(tuple(entries))
 
 
-def _centers_near(base: Vertex, span: int, d: int):
-    from itertools import product
-
-    for off in product(range(-span, span + 1), repeat=d):
-        yield tuple(b + o for b, o in zip(base, off))
+def _first_crossings(coords: np.ndarray, N: int, r1: int) -> list[tuple[Vertex, int]]:
+    """Each box centre s whose B1 ball (l1 <= r1 N around sN) the path
+    (an L x d coordinate array) enters, with the first path index k that
+    does, sorted by (k, s).  Vertex v is tested against the (2 r1 + 3)^d
+    centres within r1 + 1 of round(v / N) on every axis, all at once."""
+    span = r1 + 1
+    offsets = np.array(list(product(range(-span, span + 1), repeat=coords.shape[1])), dtype=np.int64)
+    centers = np.rint(coords / N).astype(np.int64)[:, None, :] + offsets
+    k, j = np.nonzero(np.abs(coords[:, None, :] - N * centers).sum(axis=2) <= r1 * N)  # in path order
+    s = centers[k, j]
+    _, first = np.unique(s, axis=0, return_index=True)  # stable: each centre's first crossing
+    first = first[np.lexsort((*s[first].T[::-1], k[first]))]
+    return list(zip(map(tuple, s[first].tolist()), k[first].tolist()))
 
 
 def successful_box_check(

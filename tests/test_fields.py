@@ -8,11 +8,16 @@ itself (vertices, edges, boundary, sub-region edges) is checked against the memb
 enumeration of `oracle.region_edges` on the four region shapes.  Events
 (the arrays behind `EdgeConstraintSet`) are checked against an edge-keyed
 dict reference, and conditioned sampling against the dict-grouped sampler.
+A graph's `EdgeList` is checked to sample the same bytes as its plain-list
+copy, to refuse edits, to pickle, and to leave no reference cycle.
 """
 
+import copy
+import gc
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import (
     EdgeConstraintSet,
+    EdgeList,
     RegionGraph,
     WeightField,
     edge_times_for,
@@ -328,3 +334,125 @@ def test_field_csv_refuses_missing_and_outside_edges(tmp_path):
     extra.write_text("".join(lines) + "2,1,3,1,1.5\n")
     with pytest.raises(ValueError, match=r"edge \(\(2, 1\), \(3, 1\)\) lies outside the region"):
         WeightField.from_csv(str(extra), region)
+
+
+@st.composite
+def graphs_with_events(draw):
+    """A box, an l1 ball or an l-inf ball in d = 2 or 3, a sub-region
+    inside it, and an event on some of its edges (or none)."""
+    d = draw(st.sampled_from([2, 3]))
+    center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    radius = draw(st.integers(1, 3 if d == 2 else 2))
+    kind = draw(st.sampled_from(["box", "l1", "linf"]))
+    if kind == "box":
+        region = ProductBox(center, tuple(c + draw(st.integers(1, 4 if d == 2 else 2)) for c in center))
+    else:
+        region = (L1Ball if kind == "l1" else LInfBall)(center, radius)
+    graph = RegionGraph(region)
+    picked = draw(st.lists(st.sampled_from(graph.edges), unique=True, max_size=15))
+    event = EdgeConstraintSet({e: draw(st.sampled_from(INTERVALS)) for e in picked})
+    sub = L1Ball(center, radius - 1) if kind == "l1" else ProductBox(center, tuple(c + 1 for c in center))
+    return graph, sub, draw(st.sampled_from([None, event]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_events(), st.integers(0, 2**64 - 1))
+def test_an_edge_list_samples_the_bytes_of_its_plain_copy(inst, seed):
+    graph, sub, event = inst
+    assert isinstance(graph.edges, EdgeList)
+    got = edge_times_for(graph.edges, SPEC, seed, event)
+    assert got.tobytes() == edge_times_for(list(graph.edges), SPEC, seed, event).tobytes()
+    assert got.tobytes() == graph.sample_weights(SPEC, seed, event).tobytes()
+    f = graph.field_from(got)
+    assert graph.edge_ids(graph.edges).tolist() == list(range(len(graph.edges)))
+    assert f.times_at(graph.edges).tobytes() == f.times_at(list(graph.edges)).tobytes() == got.tobytes()
+    within = graph.edges_within(sub)
+    assert isinstance(within, EdgeList) and within == region_edges(sub)
+    assert within.lower.tolist() == [list(u) for u, _ in within]
+    assert within.axis.tolist() == [edge_axis(e) for e in within]
+    assert edge_times_for(within, SPEC, seed).tobytes() == edge_times_for(list(within), SPEC, seed).tobytes()
+    assert splice(f, f.shift(1.0), within).w.tobytes() == splice(f, f.shift(1.0), list(within)).w.tobytes()
+
+
+@pytest.mark.parametrize("region", [ProductBox((-2, -1), (3, 2)), L1Ball((0, 1, 0), 2)])
+def test_an_edge_list_refuses_an_outside_event_like_a_plain_list(region):
+    graph = RegionGraph(region)
+    d = region.dim
+    outside = EdgeConstraintSet({((9,) * d, (10,) + (9,) * (d - 1)): (1.0, 2.0), graph.edges[0]: (1.0, 2.0)})
+    messages = []
+    for edges in (graph.edges, list(graph.edges)):
+        with pytest.raises(KeyError, match="outside the sampled region") as err:
+            edge_times_for(edges, SPEC, 5, outside)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_slices_and_copies_of_an_edge_list_are_plain_lists():
+    graph = RegionGraph(ProductBox((0, 0), (4, 3)))
+    w = edge_times_for(graph.edges, SPEC, 11)
+    for part, ids in ((graph.edges[::2], slice(None, None, 2)), (graph.edges[3:9], slice(3, 9))):
+        assert type(part) is list
+        assert edge_times_for(part, SPEC, 11).tobytes() == w[ids].tobytes()
+    for other in (list(graph.edges), graph.edges + [], graph.edges * 1, graph.edges[:]):
+        assert type(other) is list and other == graph.edges
+        assert edge_times_for(other, SPEC, 11).tobytes() == w.tobytes()
+    same = copy.copy(graph.edges)  # a copy of an immutable list may stay one
+    assert same == graph.edges and np.array_equal(same.lower, graph.lower)
+
+
+def test_an_edge_list_cannot_be_edited():
+    graph = RegionGraph(ProductBox((0, 0), (2, 2)))
+    edges, before = graph.edges, list(graph.edges)
+    e = edges[0]
+    edits = [
+        lambda: edges.__setitem__(0, e),
+        lambda: edges.__delitem__(0),
+        lambda: edges.__iadd__([e]),
+        lambda: edges.__imul__(2),
+        lambda: edges.append(e),
+        lambda: edges.extend([e]),
+        lambda: edges.insert(0, e),
+        lambda: edges.pop(),
+        lambda: edges.remove(e),
+        lambda: edges.clear(),
+        lambda: edges.sort(),
+        lambda: edges.reverse(),
+    ]
+    for edit in edits:
+        with pytest.raises(TypeError, match="read-only"):
+            edit()
+    for a in (edges.lower, edges.axis, graph.lower, graph.axis):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    assert edges == before and edges.lower.tolist() == [list(u) for u, _ in before]
+
+
+def test_a_weight_field_survives_pickle():
+    graph = RegionGraph(L1Ball((1, 0), 3))
+    event = EdgeConstraintSet({graph.edges[4]: (1.2, 1.7)})
+    f = graph.field_from(graph.sample_weights(SPEC, 9, event), seed=9)
+    back = pickle.loads(pickle.dumps(f))
+    assert back.w.tobytes() == f.w.tobytes() and back.seed == 9
+    edges = back.graph.edges
+    assert isinstance(edges, EdgeList) and edges == graph.edges
+    assert np.array_equal(edges.lower, graph.lower) and np.array_equal(edges.axis, graph.axis)
+    assert not (edges.lower.flags.writeable or edges.axis.flags.writeable)
+    assert back.graph.sample_weights(SPEC, 9, event).tobytes() == f.w.tobytes()
+    assert back.time(graph.edges[4]) == f.time(graph.edges[4])
+
+
+def test_a_region_graph_is_freed_without_the_cycle_collector():
+    # the edge list holds the graph's arrays, not the graph: no reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = RegionGraph(ProductBox((0, 0), (5, 4)))
+        event = EdgeConstraintSet({graph.edges[2]: (1.2, 1.7)})
+        f = graph.field_from(edge_times_for(graph.edges, SPEC, 3, event))
+        passage_time(LatticePath([(0, 0), (1, 0)]), f)
+        ref = weakref.ref(graph)
+        del graph, f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppkit.fields import RegionGraph
 from fppkit.lattice import (
@@ -9,11 +12,14 @@ from fppkit.lattice import (
     LatticePath,
     LInfBall,
     ProductBox,
+    Region,
     cut_loops,
     l1,
     monotone_path,
     neighbors,
     translate,
+    unit,
+    vadd,
 )
 
 
@@ -135,6 +141,35 @@ def test_annulus_membership():
     assert a.contains((6, 0))
     assert a.contains((11, 0))
     assert not a.contains((12, 0))
+
+
+@st.composite
+def regions_and_points(draw):
+    """A region of one of the four kinds in d = 1..4 and integer points around it."""
+    d = draw(st.integers(1, 4))
+    center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    kind = draw(st.sampled_from(["box", "l1", "linf", "annulus"]))
+    reach = 5  # points within this l-inf distance of the region's centre
+    if kind == "box":
+        region = ProductBox(center, tuple(c + draw(st.integers(0, 3)) for c in center))
+    elif kind == "annulus":
+        region = Annulus(draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2)), d)
+        center, reach = (0,) * d, region.outer_norm
+    else:
+        region = (L1Ball if kind == "l1" else LInfBall)(center, draw(st.integers(0, 4)))
+    point = st.tuples(*[st.integers(c - reach, c + reach) for c in center])
+    # the axis lines through the centre cross every face of the region
+    axes = [vadd(center, unit(d, a, k)) for a in range(d) for k in range(-reach, reach + 1)]
+    return region, np.array(draw(st.lists(point, max_size=40)) + axes, dtype=np.int64).reshape(-1, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regions_and_points())
+def test_mask_equals_contains(inst):
+    region, coords = inst
+    want = [region.contains(tuple(v)) for v in coords.tolist()]
+    assert region.mask(coords).tolist() == want
+    assert Region.mask(region, coords).tolist() == want  # the scalar fallback
 
 
 def test_direction_serialization_round_trip():

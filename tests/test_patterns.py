@@ -67,7 +67,7 @@ def test_pattern_validation_fails_loudly():
 
 
 def test_pattern_build_makes_few_membership_tests(monkeypatch):
-    # the support is indexed once by RegionGraph, not probed vertex by vertex
+    # the support is tested on arrays, not probed vertex by vertex
     calls = []
     contains = LInfBall.contains
     monkeypatch.setattr(LInfBall, "contains", lambda self, v: calls.append(v) or contains(self, v))

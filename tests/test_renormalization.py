@@ -1,13 +1,16 @@
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_field, splice
 from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra, exact_norm_oracle, first_lex_geodesic
-from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1, monotone_path
+from fppkit.lattice import L1Ball, LatticePath, ProductBox, direction_order, l1, monotone_path, vadd, vscale
 from fppkit.oracle import region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
@@ -262,6 +265,60 @@ def test_m_sequence_invariants_random_maps():
             last_k = k
         checked += 1
     assert checked == 150
+
+
+def _m_sequence_reference(path, N, r, r1, outer_radius, is_typical):
+    """The scalar scan m_sequence replaced: every path vertex tested against
+    the (2 r1 + 3)^d centres near round(v / N), one l1 call each."""
+    d = len(path.vertices[0])
+    exit_at = {}
+    for k, v in enumerate(path.vertices):
+        norm = l1(v)
+        if norm > 0 and norm % (r * N) == 0:
+            exit_at.setdefault(norm // (r * N), k)
+    first_cross = {}
+    for k, v in enumerate(path.vertices):
+        base = tuple(round(c / N) for c in v)
+        for off in product(range(-r1 - 1, r1 + 2), repeat=d):
+            s = tuple(b + o for b, o in zip(base, off))
+            if s not in first_cross and l1(v, vscale(N, s)) <= r1 * N:
+                first_cross[s] = k
+    best = {}
+    for s, k in sorted(first_cross.items(), key=lambda t: (t[1], t[0])):
+        i = box_in_annulus(s, N, outer_radius, r)
+        if i is None or (i in exit_at and k >= exit_at[i]) or i in best or not is_typical(s):
+            continue
+        best[i] = (k, s)
+    entries, a_prev = [], 1
+    for i in sorted(best):
+        if i > a_prev:
+            entries.append((i, best[i][1], best[i][0]))
+            a_prev = i
+    return tuple(entries)
+
+
+@st.composite
+def walks(draw):
+    """A random walk from the origin in d = 1..3 (loops allowed)."""
+    d = draw(st.integers(1, 3))
+    vs = [(0,) * d]
+    for step in draw(st.lists(st.sampled_from(direction_order(d)), max_size=80)):
+        vs.append(vadd(vs[-1], step))
+    return LatticePath(vs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**32))
+def test_m_sequence_equals_the_scalar_scan(path, N, r, r1, extra, salt):
+    outer = r1 + extra
+    calls = ([], [])
+
+    def typical(log):
+        return lambda s: log.append(s) or hash((s, salt)) % 3 != 0
+
+    got = m_sequence(path, N, r, r1, outer, typical(calls[0]))
+    assert got.entries == _m_sequence_reference(path, N, r, r1, outer, typical(calls[1]))
+    assert calls[0] == calls[1]  # the same boxes asked, in the same order
 
 
 def test_m_sequence_hand_built():
