@@ -17,14 +17,11 @@ from .geodesics import (
     GeodesicSet,
     NormEstimate,
     RegionGraph,
-    RegionTooSmall,
     enumerate_geodesics,
     estimate_time_constant,
     exact_norm_oracle,
     extreme_length_geodesics,
     first_lex_geodesic,
-    geodesic_time,
-    metric_ball,
     passage_time,
     restricted_geodesic_time,
 )
@@ -67,7 +64,6 @@ from .patterns import (
 from .renormalization import (
     BoxScale,
     ConstantsSet,
-    annulus_index,
     crosses,
     derive_constants,
     m_sequence,
@@ -75,7 +71,6 @@ from .renormalization import (
     successful_box_check,
     typicality_bounded,
     typicality_unbounded,
-    weakly_crosses,
 )
 from .modification import (
     PlanError,

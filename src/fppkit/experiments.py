@@ -26,6 +26,7 @@ from .geodesics import (
 from .lattice import LatticePath, ProductBox, Vertex, l1, vscale
 from .modification import (
     PlanError,
+    _entry_exit,
     build_plan_unbounded,
     verify_modification_unbounded,
 )
@@ -36,6 +37,7 @@ from .renormalization import (
     _pattern_cap,
     crosses,
     derive_constants,
+    estimate_nu,
     typicality_bounded,
     typicality_unbounded,
 )
@@ -261,8 +263,6 @@ def run_typical_rate(
         nu_N = None
         if regime == "unbounded":
             n_edges = box.ball(2).edge_count()
-            from .renormalization import estimate_nu
-
             nu_N = estimate_nu(spec, n_edges, derive_seed(seed, "nu", N))
         for k in range(boxes):
             s = derive_seed(seed, "typical", N, k)
@@ -334,8 +334,6 @@ def run_modification_demo_unbounded(
     graph = RegionGraph(region)
     b2, b3, b1 = box.ball(2), box.outer, box.ball(1)
     b2_edges = graph.edges_within(b2)
-    from .renormalization import estimate_nu
-
     nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * cube_pat.region.edge_count() + 2.0)
     rho = spec.rho
     zero = (0,) * d
@@ -353,8 +351,7 @@ def run_modification_demo_unbounded(
             gate_fail += 1
             continue
         # instance-level typicality facts the rerouting clauses consume
-        inside = [z for z in gamma.vertices if b2.contains(z)]
-        u, v = inside[0], inside[-1]
+        u, v = _entry_exit(gamma, b2)
         seg = gamma.subpath(u, v)
         if not all(b3.contains(z) for z in seg.vertices):
             gate_fail += 1

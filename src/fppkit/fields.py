@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .distributions import DistributionSpec
-from .lattice import Edge, Region, Vertex, canonical_edge, edge_axis, translate
+from .lattice import Edge, Region, Vertex, canonical_edge, edge_axis, translate, vertex_tuples
 from .rng import edge_uniforms, pack_edge_keys
 from .tolerance import in_interval
 
@@ -280,35 +280,40 @@ def edge_times_for(
     """
     keys = _edge_arrays(edges)
     u = edge_uniforms(seed, *keys)
-    times = spec.ppf(u)
-    if constraints is not None and len(constraints):
-        wanted = constraints.lower, constraints.axis
-        ids = edges.ids_at(*wanted) if isinstance(edges, EdgeList) else _positions(keys, pack_edge_keys(*wanted))
-        if np.any(ids < 0):
-            raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
-        for lo, hi, members in constraints.intervals:
-            if not spec.has_mass_in(lo, hi):
-                raise ValueError(f"constraint [{lo}, {hi}] on {constraints.edge(members[0])} has zero mass")
-            idx = ids[members]
-            times[idx] = spec.conditional_ppf(u[idx], lo, hi)
+    if constraints is None or not len(constraints):
+        return spec.ppf(u)
+    wanted = constraints.lower, constraints.axis
+    ids = edges.ids_at(*wanted) if isinstance(edges, EdgeList) else _positions(keys, pack_edge_keys(*wanted))
+    if np.any(ids < 0):
+        raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
+    times = np.empty_like(u)
+    free = np.ones(len(u), dtype=bool)
+    free[ids] = False
+    times[free] = spec.ppf(u[free])  # ppf is elementwise: a subset draws the same bits
+    for lo, hi, members in constraints.intervals:
+        if not spec.has_mass_in(lo, hi):
+            raise ValueError(f"constraint [{lo}, {hi}] on {constraints.edge(members[0])} has zero mass")
+        idx = ids[members]
+        times[idx] = spec.conditional_ppf(u[idx], lo, hi)
     return times
 
 
 class RegionGraph:
-    """The edge index of a region: sorted vertices and their indices, the
-    edges in canonical order as an `EdgeList` (whose arrays, keys and id
-    table the graph shares), and a (vertex index, axis) table of edge ids
-    for single edges.  The arc table and its CSR form are built on first
-    search."""
+    """The edge index of a region: its vertices in lexicographic order, as
+    `coords` (the region's own enumeration) and as tuples with their
+    indices, the edges in canonical order as an `EdgeList` (whose arrays,
+    keys and id table the graph shares), and a (vertex index, axis) table
+    of edge ids for single edges.  The arc table and its CSR form are built
+    on first search."""
 
     def __init__(self, region: Region):
         self.region = region
-        self.vertices: list[Vertex] = sorted(region.vertices())
+        self.coords = region.coords()
+        self.vertices: list[Vertex] = vertex_tuples(self.coords)
         self.vindex: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
         d = region.dim
-        self.coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, d)
         # vertex index at each point of the bounding box (one wider at the top), -1 off the region
-        rel = self.coords - self.coords.min(axis=0)
+        rel = self.coords - np.array(region.bounds.lo)
         box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
         box[tuple(rel.T)] = np.arange(self.n)
         # the +e_a neighbours, axes reversed: edge {v, v + e_a} has rank (v, d - 1 - a) in edge order
@@ -352,9 +357,10 @@ class RegionGraph:
 
     def edges_within(self, region: Region) -> EdgeList:
         """The edges of a sub-region, in its own edge order, read off this
-        index; every vertex of the sub-region must lie in this region."""
-        inside = np.zeros(self.n, dtype=bool)
-        inside[[self.vindex[v] for v in region.vertices()]] = True
+        index; ValueError when a vertex of the sub-region lies outside."""
+        inside = region.mask(self.coords)
+        if np.count_nonzero(inside) != len(region.coords()):
+            raise ValueError(f"{region} sticks out of {self.region}")
         lower, upper = self._ends
         ids = np.flatnonzero(inside[lower] & inside[upper])
         return EdgeList([self.edges[i] for i in ids.tolist()], self.lower[ids], self.axis[ids])

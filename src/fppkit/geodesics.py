@@ -34,16 +34,12 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import RegionGraph, WeightField
-from .lattice import LatticePath, Region, Vertex, l1, vscale
+from .lattice import LatticePath, ProductBox, Region, Vertex, l1, vscale
 from .rng import derive_seed
-from .tolerance import close, le
+from .tolerance import close
 
 DEFAULT_PATH_CAP = 10_000
 DEFAULT_NODE_BUDGET = 1_000_000
-
-
-class RegionTooSmall(Exception):
-    """The region cannot certify an unrestricted geodesic time."""
 
 
 class Disconnected(Exception):
@@ -307,15 +303,6 @@ class ExtremalLengths:
 
 
 @dataclass
-class CertifiedTime:
-    value: float
-    certified: bool
-    margin_required: float
-    margin_available: float
-    dag: GeodesicDag
-
-
-@dataclass
 class NormEstimate:
     """Monte Carlo estimate of the time constant per sampled direction."""
 
@@ -358,38 +345,6 @@ def restricted_geodesic_time(
     """Exact optimum over paths entirely inside the region, plus its DAG."""
     dag = _dag(x, y, f, region, graph)
     return dag.time, dag
-
-
-def geodesic_time(
-    x: Vertex,
-    y: Vertex,
-    f: WeightField,
-    region: Region | None = None,
-    margin: float | None = None,
-) -> CertifiedTime:
-    """Restricted optimum with a certificate that the region is large enough.
-
-    Certificate: any path leaving the region passes a boundary vertex b and
-    costs at least rho_min * (|x-b|_1 + |b-y|_1).  With the default margin
-    2 t / rho, every boundary detour costs at least twice the restricted
-    optimum, so the restricted value equals the free-lattice value.
-    """
-    region = region if region is not None else f.region
-    t, dag = restricted_geodesic_time(x, y, f, region)
-    rho = f.min_time
-    if margin is None:
-        if rho <= 0:
-            raise RegionTooSmall("zero weights present: supply an explicit margin")
-        margin = 2.0 * t / rho
-    boundary = [dag.graph.vertices[i] for i in dag.graph.boundary_indices()]
-    available = min(l1(x, b) + l1(b, y) for b in boundary) if boundary else math.inf
-    certified = available >= margin and rho * available > t
-    if not certified:
-        raise RegionTooSmall(
-            f"region too small to certify t({x},{y}): boundary detour {available} "
-            f"< required margin {margin:.6g}"
-        )
-    return CertifiedTime(t, True, margin, available, dag)
 
 
 def enumerate_geodesics(
@@ -435,22 +390,6 @@ def extreme_length_geodesics(
     return _dag(x, y, f, region, graph).extremes(node_budget)
 
 
-def metric_ball(
-    c: Vertex,
-    t: float,
-    f: WeightField,
-    region: Region | None = None,
-    graph: RegionGraph | None = None,
-) -> tuple[frozenset[Vertex], bool]:
-    """Sublevel set {u : t(c, u) <= t}; certified iff it avoids the boundary."""
-    graph, w = _resolve(f, region, graph)
-    dist = dijkstra(graph, w, graph.vindex[tuple(c)])
-    ball = frozenset(graph.vertices[i] for i in np.flatnonzero(le(dist, t)))
-    boundary = graph.boundary_indices()
-    certified = all(graph.vindex[v] not in boundary for v in ball)
-    return ball, certified
-
-
 def estimate_time_constant(
     directions: list[Vertex] | Vertex,
     spec: DistributionSpec,
@@ -477,8 +416,6 @@ def estimate_time_constant(
             pad = max(4, int(pad_factor * l1(target)))
             lo = tuple(min(0, c) - pad for c in target)
             hi = tuple(max(0, c) + pad for c in target)
-            from .lattice import ProductBox
-
             graph = RegionGraph(ProductBox(lo, hi))
             xi, yi = graph.vindex[(0,) * d], graph.vindex[target]
             vals = []

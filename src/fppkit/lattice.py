@@ -228,37 +228,46 @@ def cut_loops(path: LatticePath) -> LatticePath:
 
 @dataclass(frozen=True)
 class Region:
-    """Finite vertex set on Z^d; edges are pairs with both endpoints inside.
-    `fields.RegionGraph` lists a region's edges and finds its boundary."""
+    """Finite vertex set on Z^d, given by a tight bounding box and a mask.
+
+    Each kind provides `contains` (one vertex), `mask` (the same test on
+    every row of an (n x d) array) and `bounds`, the smallest box holding
+    the region.  `coords` and `vertices` are derived from them here, so
+    every region is enumerated the same way.  Edges are pairs with both
+    endpoints inside; `fields.RegionGraph` lists a region's edges and finds
+    its boundary.
+    """
 
     def contains(self, v: Vertex) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def mask(self, coords: np.ndarray) -> np.ndarray:
+    def mask(self, coords: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         """contains, for each row of an (n x d) integer array."""
-        return np.fromiter((self.contains(tuple(v)) for v in coords.tolist()), bool, len(coords))
-
-    def vertices(self) -> Iterator[Vertex]:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    @property
+    def bounds(self) -> "ProductBox":  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def coords(self) -> np.ndarray:
+        """The vertices as an (n x d) int64 array in lexicographic order:
+        the masked grid of `bounds`."""
+        box = self.bounds
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(box.lo, box.hi)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+        return grid[self.mask(grid)]
+
+    def vertices(self) -> Iterator[Vertex]:
+        return iter(vertex_tuples(self.coords()))
 
     def contains_edge(self, e: Edge) -> bool:
         return self.contains(e[0]) and self.contains(e[1])
 
 
-def _box_vertices(lo: Vertex, hi: Vertex) -> Iterator[Vertex]:
-    d = len(lo)
-    cur = list(lo)
-    while True:
-        yield tuple(cur)
-        i = d - 1
-        while i >= 0:
-            cur[i] += 1
-            if cur[i] <= hi[i]:
-                break
-            cur[i] = lo[i]
-            i -= 1
-        if i < 0:
-            return
+def vertex_tuples(coords: np.ndarray) -> list[Vertex]:
+    """The rows of an (n x d) integer array as tuples of Python ints, built
+    column by column (a list per row costs the cycle collector dearly)."""
+    return list(zip(*coords.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -281,8 +290,9 @@ class ProductBox(Region):
     def mask(self, coords: np.ndarray) -> np.ndarray:
         return np.all((np.array(self.lo) <= coords) & (coords <= np.array(self.hi)), axis=1)
 
-    def vertices(self) -> Iterator[Vertex]:
-        return _box_vertices(self.lo, self.hi)
+    @property
+    def bounds(self) -> "ProductBox":
+        return self
 
 
 @dataclass(frozen=True)
@@ -305,10 +315,10 @@ class L1Ball(Region):
     def mask(self, coords: np.ndarray) -> np.ndarray:
         return np.abs(coords - np.array(self.center)).sum(axis=1) <= self.radius
 
-    def vertices(self) -> Iterator[Vertex]:
-        lo = tuple(c - self.radius for c in self.center)
-        hi = tuple(c + self.radius for c in self.center)
-        return (v for v in _box_vertices(lo, hi) if l1(v, self.center) <= self.radius)
+    @property
+    def bounds(self) -> ProductBox:
+        r = (self.radius,) * self.dim
+        return ProductBox(vsub(self.center, r), vadd(self.center, r))
 
     def edge_count(self) -> int:
         """2d sum_{r<R} B_{d-1}(r) edges: an axis line at l1 distance s < R holds
@@ -337,10 +347,10 @@ class LInfBall(Region):
     def mask(self, coords: np.ndarray) -> np.ndarray:
         return np.abs(coords - np.array(self.center)).max(axis=1, initial=0) <= self.radius
 
-    def vertices(self) -> Iterator[Vertex]:
-        lo = tuple(c - self.radius for c in self.center)
-        hi = tuple(c + self.radius for c in self.center)
-        return _box_vertices(lo, hi)
+    @property
+    def bounds(self) -> ProductBox:
+        r = (self.radius,) * self.dim
+        return ProductBox(vsub(self.center, r), vadd(self.center, r))
 
     def edge_count(self) -> int:
         """d 2r (2r+1)^(d-1) edges: 2r along each of the (2r+1)^(d-1) lines per axis."""
@@ -380,11 +390,11 @@ class Annulus(Region):
         norm = np.abs(coords).sum(axis=1)
         return (self.inner_norm <= norm) & (norm < self.outer_norm)
 
-    def vertices(self) -> Iterator[Vertex]:
+    @property
+    def bounds(self) -> ProductBox:
+        """The box of the outer l1 sphere's inside, reached at +-(outer - 1) e_i."""
         rad = self.outer_norm - 1
-        lo = tuple(-rad for _ in range(self.dim))
-        hi = tuple(rad for _ in range(self.dim))
-        return (v for v in _box_vertices(lo, hi) if self.inner_norm <= l1(v) < self.outer_norm)
+        return ProductBox((-rad,) * self.dim, (rad,) * self.dim)
 
 
 def translate(obj, x: Vertex):

@@ -420,8 +420,7 @@ def build_plan_unbounded(
     if not any(b1.contains(z) for z in gamma.vertices):
         raise PlanError("the geodesic does not cross the box")
     b2 = box.ball(2)
-    inside = [z for z in gamma.vertices if b2.contains(z)]
-    u, v = inside[0], inside[-1]
+    u, v = _entry_exit(gamma, b2)
     center = box.center
     u_end, v_end = vadd(pattern.u_end, center), vadd(pattern.v_end, center)
     pi, pi_u, pi_v = connector_path_unbounded(
@@ -623,8 +622,6 @@ def oriented_connector_bounded(u1: Vertex, v1: Vertex, lam: int) -> OrientedConn
 def segment_deviation(path: LatticePath, a: Vertex, b: Vertex) -> float:
     """max over path vertices of the l1 distance to the real segment [a, b]
     and max over segment samples of the distance to the path."""
-    import numpy as np
-
     pa, pb = np.array(a, float), np.array(b, float)
     pts = np.array(path.vertices, float)
     seg = pb - pa

@@ -5,9 +5,11 @@ Four independent routes, deliberately different from the engine:
   * branch-and-bound optimal-path search pruned only by rho * l1 distance,
   * Floyd-Warshall min-plus closure for all-pairs optimum values,
   * a heapq Dijkstra over an edge-keyed adjacency (the kernel's labels).
-None of them shares code with the Dijkstra/DAG machinery they check, and
-`region_edges` lists a region's edges by membership tests, apart from the
-vectorised index in `RegionGraph`.
+None of them shares code with the Dijkstra/DAG machinery they check.
+`region_vertices` lists a region's vertices by scalar `contains` tests over
+its bounding box, apart from the masked grid of `Region.coords`, and
+`region_edges` lists its edges the same way, apart from the vectorised
+index in `RegionGraph`; every oracle enumeration goes through them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -160,11 +163,18 @@ def exact_optimal_set(
     return OracleResult(best, [LatticePath(p) for p in best_paths], nodes)
 
 
+def region_vertices(region: Region) -> list[Vertex]:
+    """The region's vertices in lexicographic order: one membership test
+    per point of its bounding box."""
+    box = region.bounds
+    return [v for v in product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))) if region.contains(v)]
+
+
 def region_edges(region: Region) -> list[Edge]:
     """Edges with both endpoints in the region, sorted: one membership
     test per candidate upper endpoint."""
     out = []
-    for v in region.vertices():
+    for v in region_vertices(region):
         for axis in range(len(v)):
             w = list(v)
             w[axis] += 1
@@ -195,7 +205,7 @@ def restricted_times(region: Region, f: WeightField, source: Vertex) -> dict[Ver
     """Restricted times from source to each reachable vertex of the region,
     by heap_dijkstra over the region's edges keyed by vertex."""
     times = dict(zip(f.edges(), f.w.tolist()))
-    adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in region.vertices()}
+    adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {v: [] for v in region_vertices(region)}
     for a, b in region_edges(region):
         adjacency[a].append((b, times[(a, b)]))
         adjacency[b].append((a, times[(a, b)]))
@@ -205,7 +215,7 @@ def restricted_times(region: Region, f: WeightField, source: Vertex) -> dict[Ver
 def floyd_warshall_times(region: Region, f: WeightField) -> tuple[list[Vertex], np.ndarray]:
     """All-pairs optimum by min-plus closure (nonnegative weights, so the
     walk optimum equals the self-avoiding optimum)."""
-    vertices = sorted(region.vertices())
+    vertices = region_vertices(region)
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     dist = np.full((n, n), math.inf)
@@ -221,7 +231,7 @@ def floyd_warshall_times(region: Region, f: WeightField) -> tuple[list[Vertex], 
 def oracle_pattern_count(path: LatticePath, pattern, f: WeightField) -> int:
     """N^P by the definition, scanning every translate in a working extent
     (the path's bounding box inflated past the pattern diameter)."""
-    verts = list(pattern.region.vertices())
+    verts = region_vertices(pattern.region)
     dim = len(verts[0])
     diam = max(
         max(v[i] for v in verts) - min(v[i] for v in verts) for i in range(dim)
@@ -230,7 +240,7 @@ def oracle_pattern_count(path: LatticePath, pattern, f: WeightField) -> int:
     count = 0
     pat_edges = list(pattern.event.constraints.items())
     times = dict(zip(f.edges(), f.w.tolist()))
-    for x0 in extent.vertices():
+    for x0 in region_vertices(extent):
         # condition 1: the translated path visits both endpoints and the
         # subpath between them stays inside the translated pattern support
         shifted = [tuple(a - b for a, b in zip(v, x0)) for v in path.vertices]

@@ -26,7 +26,6 @@ from .lattice import (
     ProductBox,
     Region,
     Vertex,
-    box_containing,
     direction_order,
     l1,
     monotone_path,
@@ -73,7 +72,7 @@ class Pattern:
         return self.region.dim
 
     def serialize(self) -> str:
-        box = box_containing(self.region.vertices())
+        box = self.region.bounds
         cons = sorted((e, lo_, hi_) for e, (lo_, hi_) in self.event.constraints.items())
         return (
             f"dims={tuple(zip(box.lo, box.hi))!r}; u={self.u_end!r}; v={self.v_end!r}; "
@@ -187,8 +186,11 @@ def pattern_hits(path: LatticePath, p: Pattern, f: WeightField) -> list[PatternH
 
 def hits_inside(path: LatticePath, p: Pattern, f: WeightField, region: Region) -> list[PatternHit]:
     """The hits of p on path whose translated support lies inside region."""
-    support = list(p.region.vertices())
-    return [h for h in pattern_hits(path, p, f) if all(region.contains(vadd(v, h.translate)) for v in support)]
+    hits = pattern_hits(path, p, f)
+    support = p.region.coords()
+    shifts = np.array([h.translate for h in hits], dtype=np.int64).reshape(len(hits), 1, p.dim)
+    inside = region.mask((support + shifts).reshape(-1, p.dim)).reshape(len(hits), len(support))
+    return [h for h, ok in zip(hits, inside.all(axis=1).tolist()) if ok]
 
 
 def count_occurrences(path: LatticePath, p: Pattern, f: WeightField) -> int:
@@ -486,7 +488,7 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     a wall above |cube|_e * m_cap, so any inner-optimal path between the
     cube poles must traverse the original pattern.
     """
-    box = box_containing(p.region.vertices())
+    box = p.region.bounds
     lam = max(map(abs, box.lo + box.hi))
     cube = LInfBall((0,) * p.dim, lam)
 
@@ -546,7 +548,7 @@ def orient_pattern(
         raise ValueError("no admissible nu0: zero mass on [nu0, nu]")
     if nu0 - rho - 2 * delta_p <= 0:
         raise ValueError("delta' too large: need delta' < (nu0 - rho)/2")
-    box = box_containing(p.region.vertices())
+    box = p.region.bounds
     lam = max(map(abs, box.lo + box.hi))
     l1c = math.floor(4 * d * lam * (nu0 - rho - delta_p / 2) / (nu0 - rho - delta_p)) + 1
     l0 = (

@@ -16,14 +16,13 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import WeightField
-from .geodesics import GeodesicDag, RegionGraph, _resolve, arc_dijkstra, dijkstra
+from .geodesics import GeodesicDag, RegionGraph, _resolve, arc_dijkstra, dijkstra, enumerate_geodesics
 from .lattice import (
     LatticePath,
     L1Ball,
     LInfBall,
     Region,
     Vertex,
-    box_containing,
     l1,
     vscale,
 )
@@ -61,20 +60,10 @@ class BoxScale:
     def outer(self) -> L1Ball:
         return self.ball(len(self.radii))
 
-    @property
-    def inner_weak(self) -> L1Ball:
-        """Ball whose visit defines weak crossing (B2 unbounded, B3 bounded)."""
-        return self.ball(2 if self.regime == "unbounded" else 3)
-
 
 def crosses(path: LatticePath, box: BoxScale) -> bool:
     b1 = box.ball(1)
     return any(b1.contains(v) for v in path)
-
-
-def weakly_crosses(path: LatticePath, box: BoxScale) -> bool:
-    b = box.inner_weak
-    return any(b.contains(v) for v in path)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def derive_constants(
     r1 = d
     if regime == "unbounded":
         base = pattern if isinstance(pattern, Pattern) else pattern.pattern
-        box = box_containing(base.region.vertices())
+        box = base.region.bounds
         lam = max(map(abs, box.lo + box.hi))
         K_edges = LInfBall((0,) * d, lam + 3).edge_count()
         m_pat = _pattern_cap(spec, base)
@@ -265,7 +254,7 @@ def derive_constants(
         nu_cap = float(pattern.pattern.event.hi.max())
         K_pat = len(RegionGraph(pattern.pattern.region).edges)
     else:
-        box = box_containing(pattern.region.vertices())
+        box = pattern.region.bounds
         lam = max(map(abs, box.lo + box.hi))
         nu_cap = min(t_max, float(pattern.event.hi.max()))
         K_pat = len(RegionGraph(pattern.region).edges)
@@ -387,10 +376,9 @@ def typicality_unbounded(
     center = graph.vindex[box.center]
     dist = dijkstra(graph, w, center)
     b2 = box.ball(2)
-    in_b2 = [i for i, v in enumerate(graph.vertices) if b2.contains(v)]
-    rim = [i for i, v in enumerate(graph.vertices) if l1(v, box.center) == box.radii[2] * N]
-    sup_b2 = max(dist[i] for i in in_b2)
-    inf_rim = min(dist[i] for i in rim)
+    coords = graph.coords
+    sup_b2 = dist[b2.mask(coords)].max()
+    inf_rim = dist[np.abs(coords - coords[center]).sum(axis=1) == box.radii[2] * N].min()
     c1 = ClauseReport(
         "(i) center-ball profile",
         sup_b2 <= r23 * N and inf_rim >= 4 * r23 * N,
@@ -402,7 +390,6 @@ def typicality_unbounded(
     sources = _pair_sources(graph, pair_sample, derive_seed(0, "pairs", *box.s, N))
     witness = ""
     ok = True
-    coords = np.array(graph.vertices)
     for i in sources:
         di = dist if i == center else dijkstra(graph, w, i)
         sep = np.abs(coords - coords[i]).sum(axis=1)
@@ -463,13 +450,13 @@ def typicality_bounded(
     b3 = box.ball(3)
     graph4, w4 = _resolve(f, b4, graph4)
     heavy = at_least(w4, constants.rho + constants.delta)
-    in_b3 = np.array([b3.contains(v) for v in graph4.vertices])
+    coords = graph4.coords
+    in_b3 = b3.mask(coords)
     sources = _pair_sources(graph4, pair_sample, derive_seed(1, "pairs", *box.s, N))
     threshold = constants.rho + constants.delta
     c1_ok, c1_wit = True, ""
     c2_ok, c2_wit = True, ""
     c3_ok, c3_wit = True, ""
-    coords = np.array(graph4.vertices)
     # each clause keeps the first failing (source, target) pair in index order
     for i in sources:
         dist = dijkstra(graph4, w4, i)
@@ -517,11 +504,6 @@ def typicality_bounded(
 
 # ---------------------------------------------------------------------------
 # Annuli, M-sequences, successful boxes, meta-cubes
-
-
-def annulus_index(v: Vertex, N: int, r: int) -> int:
-    """i with |v|_1 in [(i-1) rN, i rN)."""
-    return l1(v) // (r * N) + 1
 
 
 @dataclass(frozen=True)
@@ -618,8 +600,6 @@ def successful_box_check(
     """Every enumerated 0 -> x geodesic takes some pattern with its support
     inside B2.  Returns (successful, approximate) where approximate flags a
     truncated enumeration."""
-    from .geodesics import enumerate_geodesics
-
     if isinstance(patterns, Pattern):
         patterns = [patterns]
     gs = enumerate_geodesics((0,) * len(x), x, f, region=region, cap=cap)

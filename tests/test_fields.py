@@ -5,7 +5,8 @@ on random boxes; sampling on a graph is checked bit for bit against the
 bare edge-list sampler; the CSV dump round-trips for d = 2..5 and refuses
 files that miss a region edge or hold an edge outside it.  The region index
 itself (vertices, edges, boundary, sub-region edges) is checked against the membership-test
-enumeration of `oracle.region_edges` on the four region shapes.  Events
+enumeration of `oracle.region_vertices` and `oracle.region_edges` on the four region shapes,
+and `edges_within` refuses a sub-region that sticks out.  Events
 (the arrays behind `EdgeConstraintSet`) are checked against an edge-keyed
 dict reference, and conditioned sampling against the dict-grouped sampler.
 A graph's `EdgeList` is checked to sample the same bytes as its plain-list
@@ -51,7 +52,7 @@ from fppkit.lattice import (
     unit,
     vadd,
 )
-from fppkit.oracle import region_edges
+from fppkit.oracle import region_edges, region_vertices
 from fppkit.patterns import condition_holds, heavy_edge_pattern, two_route_pattern_unbounded
 from fppkit.rng import edge_uniforms, pack_edge_keys
 
@@ -82,7 +83,8 @@ def regions(draw):
 @given(regions())
 def test_region_graph_matches_membership_tests(region):
     graph = RegionGraph(region)
-    assert graph.vertices == sorted(region.vertices())
+    assert graph.vertices == region_vertices(region)  # the oracle's scalar enumeration
+    assert graph.coords.tolist() == [list(v) for v in graph.vertices]
     assert graph.edges == region_edges(region)  # the same order, so the same summation order
     assert all(graph.vindex[v] == i for i, v in enumerate(graph.vertices))
     if graph.edges:
@@ -282,6 +284,32 @@ def test_edge_times_for_matches_a_dict_grouped_reference(inst, data):
     first = canonical_edge(*edges[0])
     with pytest.raises(ValueError, match=re.escape(f"[0.5, 0.9] on {first} has zero mass")):
         edge_times_for(edges, SPEC, seed, EdgeConstraintSet({**cons, first: (0.5, 0.9)}))
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC, DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),))], ids=["mixture", "exp-tail"]
+)
+def test_a_partial_event_draws_free_edges_from_the_unconditioned_law(spec):
+    graph = RegionGraph(ProductBox((-3, -2), (4, 3)))
+    ids = np.arange(0, len(graph.edges), 3)
+    event = EdgeConstraintSet.on_graph(graph, np.where(ids % 2, 1.0, 1.5), np.where(ids % 2, 1.0, math.inf), ids)
+    for seed in (0, 7, 2**63 + 5):
+        u = edge_uniforms(seed, *pack_edge_keys(graph.lower, graph.axis))
+        got = graph.sample_weights(spec, seed, event)
+        free = np.ones(len(graph.edges), dtype=bool)
+        free[ids] = False
+        assert got[free].tobytes() == spec.ppf(u)[free].tobytes()
+        for lo, hi, members in event.intervals:
+            idx = ids[members]
+            assert got[idx].tobytes() == spec.conditional_ppf(u[idx], lo, hi).tobytes()
+
+
+def test_edges_within_refuses_a_sub_region_that_sticks_out():
+    graph = RegionGraph(ProductBox((0, 0), (4, 4)))
+    assert graph.edges_within(L1Ball((2, 2), 2)) == region_edges(L1Ball((2, 2), 2))
+    for sub in (L1Ball((2, 2), 3), ProductBox((-1, 0), (2, 2)), LInfBall((4, 4), 1)):
+        with pytest.raises(ValueError, match="sticks out"):
+            graph.edges_within(sub)
 
 
 def test_satisfied_by_and_condition_holds_share_one_tolerance():

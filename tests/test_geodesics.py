@@ -1,24 +1,20 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_conditioned, sample_field
 from fppkit.geodesics import (
     RegionGraph,
-    RegionTooSmall,
     enumerate_geodesics,
     estimate_time_constant,
     extreme_length_geodesics,
     first_lex_geodesic,
-    geodesic_time,
-    metric_ball,
     passage_time,
     restricted_geodesic_time,
 )
-from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1
+from fppkit.lattice import L1Ball, LatticePath, ProductBox
 from fppkit.oracle import exact_optimal_set, floyd_warshall_times
 from fppkit.patterns import obstruction_pattern, atom_square_pattern
 
@@ -223,20 +219,6 @@ def test_extreme_lengths_budget_spent_before_reaching_y():
     assert not ext.exact
     assert ext.lmin == ext.lmax == 8 and ext.witness_max == ext.witness_min
 
-def test_geodesic_time_certification():
-    region = L1Ball((2, 0), 20)
-    f = constant_field(region, 2.0)
-    ct = geodesic_time((0, 0), (4, 0), f)
-    assert ct.value == 8.0 and ct.certified
-    # cheap corridor hugging the boundary: certification must refuse
-    graph = RegionGraph(L1Ball((2, 0), 6))
-    # cheap ring at l1 radius >= 5, expensive interior
-    on_rim = [min(l1(e[0], (2, 0)), l1(e[1], (2, 0))) >= 5 for e in graph.edges]
-    fc = graph.field_from(np.where(on_rim, 0.05, 10.0))
-    with pytest.raises(RegionTooSmall):
-        geodesic_time((0, 0), (4, 0), fc)
-
-
 def test_geodesic_time_agrees_with_doubled_region():
     for seed in range(100):
         small = L1Ball((3, 0), 14)
@@ -246,23 +228,6 @@ def test_geodesic_time_agrees_with_doubled_region():
         t_small, _ = restricted_geodesic_time((0, 0), (6, 0), fs)
         t_big, _ = restricted_geodesic_time((0, 0), (6, 0), fb)
         assert t_small == t_big  # monotone in the region, equal once certified
-
-
-def test_metric_ball():
-    region = L1Ball((0, 0), 8)
-    f = constant_field(region, 1.5)
-    ball, certified = metric_ball((0, 0), 0.0, f)
-    assert ball == {(0, 0)} and certified
-    ball2, _ = metric_ball((0, 0), 3.0, f)
-    assert ball2 == {v for v in region.vertices() if l1(v) <= 2}
-    for seed in range(100):
-        fr = sample_field(region, UNIF12, seed)
-        b1, _ = metric_ball((0, 0), 3.0, fr)
-        b2, _ = metric_ball((0, 0), 5.0, fr)
-        assert b1 <= b2
-    # touching the region boundary drops certification
-    ball3, cert3 = metric_ball((0, 0), 100.0, f)
-    assert not cert3
 
 
 def test_estimate_time_constant_deterministic_spec():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fppkit.lattice import (
     LatticePath,
     LInfBall,
     ProductBox,
-    Region,
     cut_loops,
     l1,
     monotone_path,
@@ -20,6 +20,7 @@ from fppkit.lattice import (
     translate,
     unit,
     vadd,
+    vertex_tuples,
 )
 
 
@@ -169,7 +170,40 @@ def test_mask_equals_contains(inst):
     region, coords = inst
     want = [region.contains(tuple(v)) for v in coords.tolist()]
     assert region.mask(coords).tolist() == want
-    assert Region.mask(region, coords).tolist() == want  # the scalar fallback
+
+
+@st.composite
+def regions_in_reach(draw):
+    """A region of one of the four kinds in d = 1..4, a centre, and an l-inf
+    reach from that centre that covers the region (at most 7^4 points)."""
+    d = draw(st.integers(1, 4))
+    reach = {1: 12, 2: 8, 3: 5, 4: 3}[d]
+    center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    kind = draw(st.sampled_from(["box", "l1", "linf", "annulus"]))
+    if kind == "box":
+        region = ProductBox(center, tuple(c + draw(st.integers(0, reach)) for c in center))
+    elif kind == "annulus":
+        r, N = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        # every vertex has l1 norm below index * r * N, so l-inf at most reach
+        region, center = Annulus(draw(st.integers(1, (reach + 1) // (r * N))), r, N, d), (0,) * d
+    else:
+        region = (L1Ball if kind == "l1" else LInfBall)(center, draw(st.integers(0, reach)))
+    return region, center, reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(regions_in_reach())
+def test_coords_are_the_padded_box_filtered_by_contains(inst):
+    region, center, reach = inst
+    padded = [range(c - reach - 1, c + reach + 2) for c in center]
+    want = [v for v in product(*padded) if region.contains(v)]  # lexicographic
+    coords = region.coords()
+    assert coords.dtype == np.int64 and coords.shape == (len(want), region.dim)
+    assert vertex_tuples(coords) == want
+    assert list(region.vertices()) == want
+    # the bounds are tight: each face of the box holds a vertex
+    box = region.bounds
+    assert tuple(coords.min(axis=0).tolist()) == box.lo and tuple(coords.max(axis=0).tolist()) == box.hi
 
 
 def test_direction_serialization_round_trip():

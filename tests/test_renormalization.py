@@ -15,7 +15,6 @@ from fppkit.oracle import region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
     BoxScale,
-    annulus_index,
     box_in_annulus,
     crosses,
     derive_constants,
@@ -25,7 +24,6 @@ from fppkit.renormalization import (
     successful_box_check,
     typicality_bounded,
     typicality_unbounded,
-    weakly_crosses,
 )
 from fppkit.renormalization import _pair_sources, _tight_min_heavy_all, _witness_path
 from fppkit.rng import derive_seed
@@ -47,10 +45,10 @@ def test_box_scale_validation():
 def test_crossing_predicates():
     box = BoxScale((0, 0), 2, (2, 4, 8))
     through_center = monotone_path((-1, 0), (1, 0))
-    assert crosses(through_center, box) and weakly_crosses(through_center, box)
+    assert crosses(through_center, box)
     # touches the B2 shell only (radius r2 N = 8)
     rim = LatticePath([(8, 0), (8, 1), (8, 2)])
-    assert weakly_crosses(rim, box) and not crosses(rim, box)
+    assert not crosses(rim, box)
     rng = random.Random(0)
     from fppkit.lattice import neighbors
 
@@ -58,15 +56,8 @@ def test_crossing_predicates():
         vs = [(rng.randint(-9, 9), rng.randint(-9, 9))]
         for _ in range(8):
             vs.append(rng.choice(neighbors(vs[-1])))
-        p = LatticePath(vs)
-        if crosses(p, box):
-            assert weakly_crosses(p, box)
-
-
-def test_annulus_index_half_open():
-    assert annulus_index((0, 0), 2, 3) == 1
-    assert annulus_index((6, 0), 2, 3) == 2  # |v| = rN exactly -> next annulus
-    assert annulus_index((5, 0), 2, 3) == 1
+        # crossing means visiting B1, the l1 ball of radius r1 N = 4
+        assert crosses(LatticePath(vs), box) == any(l1(v) <= 4 for v in vs)
 
 
 def test_derive_constants_unbounded_inequalities():
