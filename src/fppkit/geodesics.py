@@ -3,8 +3,9 @@
 Restricted geodesic times come from Dijkstra over the region's edge graph
 (weights are nonnegative, zero atoms included, so label setting is exact).
 Every search is one call of scipy.sparse.csgraph's compiled Dijkstra on the
-region graph's arc table in CSR form.  Its labels are bit-for-bit those of
-a heapq loop: both take the min over paths of the left-to-right float sum.
+region graph's arc table in CSR form, and so is a batch of sources.  Its
+labels are bit-for-bit those of a heapq loop: both take the min over paths
+of the left-to-right float sum.
 scipy is imported on the first search, not with the package: with numpy
 loaded, importing scipy.sparse.csgraph takes 0.25 s or more, about three
 times the whole import of the `fpp` CLI.
@@ -46,28 +47,50 @@ class Disconnected(Exception):
     """No path between the endpoints inside the region."""
 
 
-def dijkstra(graph: RegionGraph, w: np.ndarray, source: int) -> np.ndarray:
-    """Distance labels from a source index; unreachable stays +inf."""
+def dijkstra(graph: RegionGraph, w: np.ndarray, source: int | np.ndarray) -> np.ndarray:
+    """Distance labels from a source index, or one row of labels per source
+    of an index array; unreachable stays +inf.  Each row equals the labels
+    of its own single-source call bit for bit."""
     if not np.all(w >= 0):
         raise ValueError("negative or NaN weights are not supported")
     return arc_dijkstra(graph, w[graph.arc_table[2]], source)
 
 
 def arc_dijkstra(
-    graph: RegionGraph, cost: np.ndarray, source: int, arcs: np.ndarray | None = None, reverse: bool = False
+    graph: RegionGraph,
+    cost: np.ndarray,
+    source: int | np.ndarray,
+    arcs: np.ndarray | None = None,
+    reverse: bool = False,
 ) -> np.ndarray:
     """Labels from source over the table arcs (those where the mask arcs is
     True), the k-th kept arc costing cost[k]; reverse turns every arc around.
-    scipy keeps explicit zero entries, so zero-cost arcs stay arcs."""
+    scipy keeps explicit zero entries, so zero-cost arcs stay arcs.
+
+    A 2-D mask arcs (sources x table arcs) keeps one arc set per source of
+    the index array source, cost listing the kept arcs row by row.  One
+    search then runs over the disjoint union of the copies (row r on the
+    vertex ids r n .. r n + n - 1) from all sources at once; no arc joins two
+    copies, so each copy's labels come from its own source.  Returns one
+    row of labels per source."""
     from scipy.sparse import csc_array, csr_array
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
+    n, copies = graph.n, 1
     indptr, head = graph.arc_csr
-    if arcs is not None:  # same grouping by tail, fewer arcs per group
-        indptr, head = np.r_[0, np.cumsum(arcs)][indptr].astype(np.int32), head[arcs]
+    if arcs is not None:  # same grouping by tail, fewer arcs per group; copy r after copy r - 1
+        mask = np.atleast_2d(arcs)
+        copies = len(mask)
+        offset = np.arange(copies)[:, None]
+        kept = np.r_[0, np.cumsum(mask)]
+        indptr = kept[np.r_[(offset * len(head) + indptr[:-1]).ravel(), kept.size - 1]].astype(np.int32)
+        head = (offset * n + head)[mask].astype(np.int32)
     # read as CSC, the group of tail u lists arcs into u: every arc turned around
-    matrix = (csc_array if reverse else csr_array)((cost, head, indptr), shape=(graph.n, graph.n))
-    return csgraph_dijkstra(matrix, directed=True, indices=source)
+    matrix = (csc_array if reverse else csr_array)((cost, head, indptr), shape=(copies * n,) * 2)
+    if np.ndim(arcs) < 2:
+        return csgraph_dijkstra(matrix, directed=True, indices=source)
+    starts = np.arange(copies) * n + source
+    return csgraph_dijkstra(matrix, directed=True, indices=starts, min_only=True).reshape(copies, n)
 
 
 class _ArcLists(Sequence):
@@ -431,5 +454,8 @@ def estimate_time_constant(
 
 
 def exact_norm_oracle(a: float):
-    """mu for the deterministic spec delta_a: mu(y) = a |y|_1."""
-    return lambda y: a * l1(y)
+    """mu for the deterministic spec delta_a: mu(y) = a |y|_1 for each
+    displacement y along the last axis of an (..., d) integer array (a
+    vertex tuple is one displacement).  Each value is one product of a
+    double and an exact integer, so it equals the scalar a * l1(y)."""
+    return lambda y: a * np.abs(np.asarray(y, dtype=np.int64)).sum(axis=-1)

@@ -738,10 +738,10 @@ def build_plan_bounded(
     c0 = stage1.anchors["c0"]
     nabla = constants.nabla or 0.0
     N = box.N
-    in_mu = [z for z in gamma.vertices if mu_oracle(vsub(z, c0)) <= nabla * N]
-    if not in_mu:
+    in_mu = np.flatnonzero(mu_oracle(np.array(gamma.vertices) - c0) <= nabla * N)
+    if not len(in_mu):
         raise PlanError("anchor u1/v1 undefined: geodesic misses B_mu(c0, N nabla)")
-    u1, v1 = in_mu[0], in_mu[-1]
+    u1, v1 = gamma.vertices[in_mu[0]], gamma.vertices[in_mu[-1]]
     lam = oriented_family[next(iter(oriented_family))].l0
     conn = oriented_connector_bounded(u1, v1, lam)
     if not conn.steps:

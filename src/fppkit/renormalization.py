@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .patterns import OrientedPattern, Pattern, hits_inside
 from .rng import derive_seed
-from .tolerance import INPUT_ATOL, agree, at_least, le, lt
+from .tolerance import INPUT_ATOL, agree, at_least, close, le, lt
 
 
 @dataclass(frozen=True)
@@ -322,11 +322,43 @@ class TypicalityReport:
         return "\n".join(rows)
 
 
-def _pair_sources(graph: RegionGraph, sample: int | None, seed: int) -> list[int]:
+# A batch of sources holds at most this many (source x vertex) labels,
+# 2 MiB of float64; the clause-(i) search holds about 2d times as many arcs.
+# All 313 sources of a radius-12 ball in Z^2 fit in one batch.
+BATCH_LABELS = 1 << 18
+
+
+def _pair_sources(graph: RegionGraph, sample: int | None, seed: int) -> np.ndarray:
+    """Source indices of the pair clauses, ascending: every vertex, or a
+    seeded subsample of `sample` of them."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"pair_sample must be at least 1 (or None for every source), got {sample}")
     if sample is None or sample >= graph.n:
-        return list(range(graph.n))
+        return np.arange(graph.n)
     rs = np.random.default_rng(seed)
-    return sorted(rs.choice(graph.n, size=sample, replace=False).tolist())
+    return np.sort(rs.choice(graph.n, size=sample, replace=False))
+
+
+def _source_batches(graph: RegionGraph, w: np.ndarray, sources: np.ndarray, first: int | None = None):
+    """Per batch of sources, in order: the batch, its labels (one Dijkstra
+    call, batch x n) and the displacements coords[source] - coords[target]
+    (batch x n x d).  A batch holds at most BATCH_LABELS // n sources; with
+    first set, the first batch holds first sources and each next one twice
+    as many, up to that cap."""
+    cap = max(1, BATCH_LABELS // graph.n)
+    k, size = 0, min(cap, first or cap)
+    while k < len(sources):
+        batch = sources[k : k + size]
+        yield batch, dijkstra(graph, w, batch), graph.coords[batch][:, None, :] - graph.coords
+        k, size = k + size, min(cap, 2 * size)
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first True of a 2-D mask in row-major order (the
+    first failing (source, target) pair in index order), or None."""
+    if not mask.any():
+        return None
+    return divmod(int(np.argmax(mask)), mask.shape[1])
 
 
 def _witness_path(dag: GeodesicDag, j: int) -> str:
@@ -340,6 +372,20 @@ def _witness_path(dag: GeodesicDag, j: int) -> str:
         verts.append(u)
     path = LatticePath(dag.graph.vertices[i] for i in reversed(verts))
     return f"start={path.start} dirs={path.directions()}"
+
+
+def _fast_pair_witness(graph, w, batch, dist, sep, threshold, min_sep) -> str:
+    """Clause (ii) on one batch: the witness at its first pair at l1
+    distance >= min_sep faster than threshold per step, or ""."""
+    pair = _first_pair((sep >= min_sep) & lt(dist, threshold * sep))
+    if pair is None:
+        return ""
+    r, j = pair
+    vi = graph.vertices[batch[r]]
+    return (
+        f"pair {vi}->{graph.vertices[j]}: t={dist[r, j]:.6g} < {threshold * sep[r, j]:.6g}; "
+        + _witness_path(GeodesicDag(graph, w, vi, dist[r]), j)
+    )
 
 
 def typicality_unbounded(
@@ -384,41 +430,47 @@ def typicality_unbounded(
         sup_b2 <= r23 * N and inf_rim >= 4 * r23 * N,
         f"sup_B2={sup_b2:.6g} (cap {r23 * N:.6g}), inf_dB3={inf_rim:.6g} (floor {4 * r23 * N:.6g})",
     )
-    # clause (ii)
+    # clause (ii), up to the first batch with a failing source; that source
+    # is often among the first few, so batches double from one source and
+    # search at most about twice the sources up to it
     threshold = (constants.rho + constants.delta)
-    min_sep = (r2 - r1) * N
     sources = _pair_sources(graph, pair_sample, derive_seed(0, "pairs", *box.s, N))
     witness = ""
-    ok = True
-    for i in sources:
-        di = dist if i == center else dijkstra(graph, w, i)
-        sep = np.abs(coords - coords[i]).sum(axis=1)
-        fast = np.flatnonzero((sep >= min_sep) & lt(di, threshold * sep))
-        if len(fast):
-            j, vi = int(fast[0]), graph.vertices[i]
-            ok = False
-            witness = (
-                f"pair {vi}->{graph.vertices[j]}: t={di[j]:.6g} < {threshold * sep[j]:.6g}; "
-                + _witness_path(GeodesicDag(graph, w, vi, di), j)
-            )
+    for batch, labels, disp in _source_batches(graph, w, sources, first=1):
+        witness = _fast_pair_witness(graph, w, batch, labels, np.abs(disp).sum(axis=2), threshold, (r2 - r1) * N)
+        if witness:
             break
     name2 = "(ii) no abnormally fast pair"
     if pair_sample is not None and pair_sample < graph.n:
         name2 += f" [subsampled {len(sources)} sources]"
-    c2 = ClauseReport(name2, ok, witness)
+    c2 = ClauseReport(name2, not witness, witness)
     total = sum(f.times_at(graph.edges_within(b2)).tolist())
     c3 = ClauseReport("(iii) B2 weight sum", total < nu_N, f"sum={total:.6g} vs nu(N)={nu_N:.6g}")
     below = constants.r2 > r2 or constants.r3 > box.radii[2]
     return TypicalityReport(box, (c1, c2, c3), below)
 
 
-def _tight_min_heavy_all(dag: GeodesicDag, heavy: np.ndarray) -> np.ndarray:
+def _tight_min_heavy_all(
+    graph: RegionGraph, w: np.ndarray, dist: np.ndarray, sources: np.ndarray, heavy: np.ndarray
+) -> np.ndarray:
     """Min number of heavy edges over restricted-optimal source -> . paths,
-    for every target at once (+inf where none): 0/1 costs on the single-
-    source tight arcs, each masked table arc v -> u read as u -> v."""
-    tight = dag._source_tight
-    cost = heavy[dag.graph.arc_table[2][tight]].astype(np.float64)
-    return arc_dijkstra(dag.graph, cost, dag.graph.vindex[dag.source], arcs=tight, reverse=True)
+    for every target at once (+inf where none), one row per source given
+    its labels (dist, sources x n): 0/1 costs on each row's single-source
+    tight arcs, each table arc v -> u read as u -> v, every row in one
+    search over disjoint copies.  The costs are integers, so the labels
+    are exact."""
+    tail, head, edge = graph.arc_table
+    tight = close(dist[:, head] + w[edge], dist[:, tail])
+    cost = np.broadcast_to(heavy[edge], tight.shape)[tight].astype(np.float64)
+    return arc_dijkstra(graph, cost, sources, arcs=tight, reverse=True)
+
+
+def _mu_values(mu_oracle, disp: np.ndarray) -> np.ndarray:
+    """The mu oracle on a (k x d) displacement array: k values."""
+    mu = np.asarray(mu_oracle(disp), dtype=np.float64)
+    if mu.shape != disp.shape[:1]:
+        raise ValueError(f"a mu oracle maps a (k, d) displacement array to k values; got {mu.shape} for k={len(disp)}")
+    return mu
 
 
 def typicality_bounded(
@@ -437,67 +489,54 @@ def typicality_bounded(
     (ii) as in the unbounded regime with B4 and separation N;
     (iii) (1 +- eps) mu approximation, relative to the supplied mu oracle,
           with times restricted to B4 (typicality is B4-local).
+    mu_oracle maps a (k x d) array of displacements source - target to k
+    values of mu.  Sources run in batches; each clause reports the first
+    failing (source, target) pair in index order.
     """
     if box.regime != "bounded":
         raise ValueError("box regime mismatch")
     if mu_oracle is None:
         raise ValueError("the bounded clause (iii) needs a mu oracle")
+    if constants.alpha is None or constants.epsilon is None:
+        raise ValueError("the bounded clauses need constants.alpha and constants.epsilon")
     r1, r2, r3, r4 = box.radii
-    N = box.N
-    alpha = constants.alpha or 0.0
-    eps = constants.epsilon if constants.epsilon is not None else 0.1
-    b4 = box.outer
-    b3 = box.ball(3)
-    graph4, w4 = _resolve(f, b4, graph4)
-    heavy = at_least(w4, constants.rho + constants.delta)
-    coords = graph4.coords
-    in_b3 = b3.mask(coords)
-    sources = _pair_sources(graph4, pair_sample, derive_seed(1, "pairs", *box.s, N))
+    N, alpha, eps = box.N, constants.alpha, constants.epsilon
+    graph4, w4 = _resolve(f, box.outer, graph4)
+    vs = graph4.vertices
     threshold = constants.rho + constants.delta
-    c1_ok, c1_wit = True, ""
-    c2_ok, c2_wit = True, ""
-    c3_ok, c3_wit = True, ""
-    # each clause keeps the first failing (source, target) pair in index order
-    for i in sources:
-        dist = dijkstra(graph4, w4, i)
-        vi = graph4.vertices[i]
-        dag = GeodesicDag(graph4, w4, vi, dist)
-        sep = np.abs(coords - coords[i]).sum(axis=1)
+    heavy = at_least(w4, threshold)
+    in_b3 = box.ball(3).mask(graph4.coords)
+    sources = _pair_sources(graph4, pair_sample, derive_seed(1, "pairs", *box.s, N))
+    wit = ["", "", ""]  # clauses (i), (ii), (iii); "" while the clause holds
+    for batch, dist, disp in _source_batches(graph4, w4, sources):
+        sep = np.abs(disp).sum(axis=2)
         # clause (ii): B4 pairs
-        fast = np.flatnonzero((sep >= N) & lt(dist, threshold * sep))
-        if c2_ok and len(fast):
-            j = int(fast[0])
-            c2_ok = False
-            c2_wit = (
-                f"pair {vi}->{graph4.vertices[j]}: t={dist[j]:.6g} < {threshold * sep[j]:.6g}; "
-                + _witness_path(dag, j)
-            )
-        if not in_b3[i]:
-            continue
-        js = np.flatnonzero(in_b3 & (sep >= N))
-        # clause (iii): mu approximation on B3 pairs
-        if c3_ok:
-            mu = np.array([mu_oracle(tuple(a - b for a, b in zip(vi, graph4.vertices[j]))) for j in js.tolist()])
-            off = np.flatnonzero(~(le((1 - eps) * mu - N, dist[js]) & le(dist[js], (1 + eps) * mu + N)))
+        wit[1] = wit[1] or _fast_pair_witness(graph4, w4, batch, dist, sep, threshold, N)
+        # clauses (i) and (iii): B3 pairs at distance >= N
+        rows = np.flatnonzero(in_b3[batch])
+        pairs = in_b3 & (sep[rows] >= N)
+        if not wit[2]:  # mu approximation
+            pr, pj = np.nonzero(pairs)  # in (source, target) order
+            t = dist[rows[pr], pj]
+            mu = _mu_values(mu_oracle, disp[rows[pr], pj])
+            off = np.flatnonzero(~(le((1 - eps) * mu - N, t) & le(t, (1 + eps) * mu + N)))
             if len(off):
-                k, j = int(off[0]), int(js[off[0]])
-                c3_ok, c3_wit = False, f"pair {vi}->{graph4.vertices[j]}: t={dist[j]:.6g} vs mu={mu[k]:.6g}"
-        # clause (i): heavy-edge density on restricted-optimal paths
-        if c1_ok:
-            hmin = _tight_min_heavy_all(dag, heavy)[js]
-            few = np.flatnonzero(hmin < alpha * sep[js])
-            if len(few):
-                k, j = int(few[0]), int(js[few[0]])
-                c1_ok = False
-                c1_wit = f"pair {vi}->{graph4.vertices[j]}: min heavy {int(hmin[k])} < {alpha * sep[j]:.6g}"
+                k = off[0]
+                wit[2] = f"pair {vs[batch[rows[pr[k]]]]}->{vs[pj[k]]}: t={t[k]:.6g} vs mu={mu[k]:.6g}"
+        if not wit[0] and len(rows):  # heavy-edge density on restricted-optimal paths
+            hmin = _tight_min_heavy_all(graph4, w4, dist[rows], batch[rows], heavy)
+            pair = _first_pair(pairs & (hmin < alpha * sep[rows]))
+            if pair is not None:
+                r, j = pair
+                i = batch[rows[r]]
+                wit[0] = f"pair {vs[i]}->{vs[j]}: min heavy {int(hmin[r, j])} < {alpha * sep[rows[r], j]:.6g}"
+        if all(wit):
+            break
     suffix = ""
     if pair_sample is not None and pair_sample < graph4.n:
         suffix = f" [subsampled {len(sources)} sources]"
-    clauses = (
-        ClauseReport("(i) heavy-edge density" + suffix, c1_ok, c1_wit),
-        ClauseReport("(ii) no abnormally fast pair" + suffix, c2_ok, c2_wit),
-        ClauseReport("(iii) mu approximation" + suffix, c3_ok, c3_wit),
-    )
+    names = ("(i) heavy-edge density", "(ii) no abnormally fast pair", "(iii) mu approximation")
+    clauses = tuple(ClauseReport(name + suffix, not witness, witness) for name, witness in zip(names, wit))
     below = constants.r2 > r2 or constants.r3 > r3 or (constants.r4 or 0) > r4
     return TypicalityReport(box, clauses, below)
 

@@ -105,7 +105,7 @@ def test_engine_agrees_with_oracle(inst):
 
     heavy = dag.weights >= HEAVY
     g = dag.graph
-    hmin = _tight_min_heavy_all(GeodesicDag(g, dag.weights, x, dag.dist), heavy)
+    hmin = _tight_min_heavy_all(g, dag.weights, dag.dist[None], np.array([g.vindex[x]]), heavy)[0]
     brute = min(sum(f.time(e) >= HEAVY for e in p.edges()) for p in truth.paths)
     assert hmin[g.vindex[y]] == brute
 
@@ -141,20 +141,37 @@ def test_kernel_labels_equal_heapq_bit_for_bit(inst):
     assert np.array_equal(dijkstra(graph, w, source), want)
 
 
+sources_of = st.lists(st.integers(0, 2**16), min_size=1, max_size=6)
+
+
 @settings(max_examples=100, deadline=None)
-@given(kernel_instances())
-def test_tight_min_heavy_all_equals_the_heapq_dict(inst):
+@given(kernel_instances(), sources_of)
+def test_multi_source_rows_equal_single_source_labels(inst, picks):
+    region, graph, w, _ = inst
+    sources = np.array(picks) % graph.n  # any order, repeats allowed
+    rows = dijkstra(graph, w, sources)
+    assert rows.shape == (len(sources), graph.n)
+    for row, s in zip(rows, sources.tolist()):
+        assert np.array_equal(row, dijkstra(graph, w, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_instances(), sources_of)
+def test_tight_min_heavy_all_equals_the_heapq_dict(inst, picks):
     region, graph, w, source = inst
-    dag = GeodesicDag(graph, w, graph.vertices[source], dijkstra(graph, w, source))
+    sources = np.array([source] + picks) % graph.n
+    dist = dijkstra(graph, w, sources)
     heavy = w >= HEAVY
-    # the loop the kernel replaced: heapq over the single-source tight arcs u -> v
-    children = {u: [] for u in range(graph.n)}
-    for v, out in enumerate(dag.parents):
-        for u, e in out:
-            children[u].append((v, int(heavy[e])))
-    truth = heap_dijkstra(children, source)
-    hmin = _tight_min_heavy_all(dag, heavy)
-    assert np.array_equal(hmin, [truth.get(j, math.inf) for j in range(graph.n)])
+    hmin = _tight_min_heavy_all(graph, w, dist, sources, heavy)
+    assert hmin.shape == (len(sources), graph.n)
+    for row, s, d in zip(hmin, sources.tolist(), dist):
+        # the loop the kernel replaced: heapq over the single-source tight arcs u -> v
+        children = {u: [] for u in range(graph.n)}
+        for v, out in enumerate(GeodesicDag(graph, w, graph.vertices[s], d).parents):
+            for u, e in out:
+                children[u].append((v, int(heavy[e])))
+        truth = heap_dijkstra(children, s)
+        assert np.array_equal(row, [truth.get(j, math.inf) for j in range(graph.n)])
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fppkit.distributions import DistributionSpec
@@ -9,12 +10,13 @@ from fppkit.geodesics import (
     RegionGraph,
     enumerate_geodesics,
     estimate_time_constant,
+    exact_norm_oracle,
     extreme_length_geodesics,
     first_lex_geodesic,
     passage_time,
     restricted_geodesic_time,
 )
-from fppkit.lattice import L1Ball, LatticePath, ProductBox
+from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1
 from fppkit.oracle import exact_optimal_set, floyd_warshall_times
 from fppkit.patterns import obstruction_pattern, atom_square_pattern
 
@@ -273,3 +275,20 @@ def test_dag_triangle_inequality_and_source_zero():
         for eid, (a, b) in enumerate(g.edges):
             da, db = dag.dist_at(a), dag.dist_at(b)
             assert abs(da - db) <= dag.weights[eid] + 1e-9
+
+
+def test_exact_norm_oracle_on_arrays_equals_the_scalar_form():
+    # one double times one exact integer either way: equal bit for bit
+    rs = np.random.default_rng(11)
+    for a in (1.5, 0.1, 1 / 3, 2.0660447436604943, 1e-7 + 1):
+        mu = exact_norm_oracle(a)
+        for d in (1, 2, 3, 5):
+            disp = rs.integers(-10**6, 10**6, size=(200, d))
+            disp[:20] = rs.integers(-3, 4, size=(20, d))  # small ones, zero vectors among them
+            got = mu(disp)
+            assert got.shape == (200,) and got.dtype == np.float64
+            want = [a * l1(tuple(y)) for y in disp.tolist()]
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+            assert [f"{m:.6g}" for m in got] == [f"{m:.6g}" for m in want]
+            assert mu(disp.reshape(4, 50, d)).tolist() == np.reshape(want, (4, 50)).tolist()
+            assert mu(tuple(disp[0].tolist())) == want[0]  # a vertex tuple is one displacement

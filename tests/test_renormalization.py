@@ -1,8 +1,8 @@
-import math
 import random
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +11,7 @@ from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_field, splice
 from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra, exact_norm_oracle, first_lex_geodesic
 from fppkit.lattice import L1Ball, LatticePath, ProductBox, direction_order, l1, monotone_path, vadd, vscale
-from fppkit.oracle import region_edges
+from fppkit.oracle import heap_dijkstra, region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
     BoxScale,
@@ -25,7 +25,7 @@ from fppkit.renormalization import (
     typicality_bounded,
     typicality_unbounded,
 )
-from fppkit.renormalization import _pair_sources, _tight_min_heavy_all, _witness_path
+from fppkit.renormalization import _pair_sources, _witness_path
 from fppkit.rng import derive_seed
 from fppkit.tolerance import at_least, le, lt
 
@@ -177,17 +177,23 @@ def test_typicality_bounded_clauses_and_locality():
 
 def _bounded_reference(box, f, cs, mu, pair_sample):
     """The per-pair loop behind typicality_bounded: the witness of each clause
-    ("" when it holds) at the first failing (source, target) pair."""
+    ("" when it holds) at the first failing (source, target) pair.  Labels
+    come from one single-source search per source, heavy minima from the
+    oracle's heapq loop over each source's tight arcs."""
     graph = RegionGraph(box.outer)
     w, b3, N, eps = graph.weights_of(f), box.ball(3), box.N, cs.epsilon
     heavy, threshold = at_least(w, cs.rho + cs.delta), cs.rho + cs.delta
     wit = ["", "", ""]
-    for i in _pair_sources(graph, pair_sample, derive_seed(1, "pairs", *box.s, N)):
+    for i in _pair_sources(graph, pair_sample, derive_seed(1, "pairs", *box.s, N)).tolist():
         dist, vi = dijkstra(graph, w, i), graph.vertices[i]
         dag = GeodesicDag(graph, w, vi, dist)
         hmin = {}
         if b3.contains(vi):  # the labels of the reachable targets, as ints
-            hmin = {j: int(h) for j, h in enumerate(_tight_min_heavy_all(dag, heavy)) if h < math.inf}
+            children = {u: [] for u in range(graph.n)}
+            for v, into in enumerate(dag.parents):
+                for u, e in into:
+                    children[u].append((v, int(heavy[e])))
+            hmin = heap_dijkstra(children, i)
         for j, vj in enumerate(graph.vertices):
             sep = l1(vi, vj)
             if sep < N:
@@ -214,6 +220,84 @@ def test_typicality_bounded_matches_the_per_pair_loop():
             want = _bounded_reference(box, f, cs, exact_norm_oracle(rate), 12)
             assert [c.witness for c in rep.clauses] == want
             assert [c.passed for c in rep.clauses] == [not x for x in want]
+
+
+def test_typicality_bounded_every_source_matches_the_per_pair_loop():
+    # every source checked, with a zero atom: each clause fails, and its
+    # witness is the first failing pair over all 313 sources
+    box = BoxScale((0, 0), 2, (2, 3, 4, 6), "bounded")
+    graph = RegionGraph(box.outer)
+    law = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.4), (2.0, 0.4)))
+    cs = replace(_bounded_constants_small(), epsilon=0.1, alpha=0.3)
+    f = graph.field_from(graph.sample_weights(law, 5))
+    rep = typicality_bounded(box, f, cs, exact_norm_oracle(1.2), pair_sample=None, graph4=graph)
+    want = _bounded_reference(box, f, cs, exact_norm_oracle(1.2), None)
+    assert all(want)
+    assert [c.witness for c in rep.clauses] == want
+    assert not any(c.passed for c in rep.clauses)
+
+
+@pytest.mark.parametrize("per_batch", [1, 7])
+def test_source_batches_do_not_change_the_reports(monkeypatch, per_batch):
+    # the same reports with every source in one batch and cut into batches
+    # of per_batch sources (the unbounded clause doubles from one source)
+    import fppkit.renormalization as renormalization
+
+    law = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.4), (2.0, 0.4)))
+    bbox, ubox = BoxScale((0, 0), 2, (2, 3, 4, 6), "bounded"), BoxScale((0, 0), 2, (1, 2, 6))
+    bgraph, ugraph = RegionGraph(bbox.outer), RegionGraph(ubox.outer)
+    cs, ucs = replace(_bounded_constants_small(), epsilon=0.1, alpha=0.3), _unbounded_constants_for_tests()
+    texts = []
+    for batch_labels in (renormalization.BATCH_LABELS, per_batch * bgraph.n):
+        monkeypatch.setattr(renormalization, "BATCH_LABELS", batch_labels)
+        reports = []
+        for seed in range(4):
+            f = bgraph.field_from(bgraph.sample_weights(law, seed))
+            for ps in (None, 9):
+                reports.append(typicality_bounded(bbox, f, cs, exact_norm_oracle(1.2), pair_sample=ps, graph4=bgraph))
+            g = ugraph.field_from(ugraph.sample_weights(ATOMS12, seed))
+            for delta in (0.0, 0.25):  # clause (ii) holds, fails
+                reports.append(typicality_unbounded(ubox, g, replace(ucs, delta=delta), r23=4.2, nu_N=1e9, graph=ugraph))
+        texts.append([rep.to_text() for rep in reports])
+    assert texts[0] == texts[1]
+    assert any("FAIL] (i) heavy" in t for t in texts[0]) and any("pass] (ii)" in t for t in texts[0])
+
+
+def test_source_batches_cover_every_source_once(monkeypatch):
+    import fppkit.renormalization as renormalization
+
+    graph = RegionGraph(L1Ball((0, 0), 6))
+    w = graph.sample_weights(ATOMS12, 3)
+    monkeypatch.setattr(renormalization, "BATCH_LABELS", 5 * graph.n)  # at most 5 sources per batch
+    for sources, first, sizes in (
+        (_pair_sources(graph, None, 0), None, [5] * 17),
+        (_pair_sources(graph, None, 0), 1, [1, 2, 4] + [5] * 15 + [3]),
+        (_pair_sources(graph, 13, 4), 1, [1, 2, 4, 5, 1]),
+    ):
+        batches = list(renormalization._source_batches(graph, w, sources, first))
+        assert [len(b) for b, _, _ in batches] == sizes
+        assert np.array_equal(np.concatenate([b for b, _, _ in batches]), sources)
+        for batch, labels, disp in batches:
+            assert np.array_equal(labels, dijkstra(graph, w, batch))
+            assert np.array_equal(disp, graph.coords[batch][:, None, :] - graph.coords[None, :, :])
+
+
+def test_bad_typicality_settings_fail_loudly():
+    graph = RegionGraph(L1Ball((0, 0), 3))
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="pair_sample"):
+            _pair_sources(graph, bad, 1)
+    assert _pair_sources(graph, 1, 1).tolist() in [[i] for i in range(graph.n)]
+    box = BoxScale((0, 0), 1, (1, 2, 3, 4), "bounded")
+    f = constant_field(box.outer, 1.5)
+    cs = _bounded_constants_small()
+    for unset in (dict(alpha=None), dict(epsilon=None)):
+        with pytest.raises(ValueError, match="alpha and constants.epsilon"):
+            typicality_bounded(box, f, replace(cs, **unset), exact_norm_oracle(1.5))
+    with pytest.raises(ValueError, match="pair_sample"):
+        typicality_bounded(box, f, cs, exact_norm_oracle(1.5), pair_sample=0)
+    with pytest.raises(ValueError, match="mu oracle maps"):  # a scalar-only oracle
+        typicality_bounded(box, f, cs, lambda y: 1.5 * l1(y))
 
 
 def test_estimate_nu_quantile():
