@@ -16,7 +16,8 @@ keys:
     n_list         [n, ...]
     trials         int
     seed           64-bit master seed
-    cap            geodesic enumeration cap
+    cap            geodesic enumeration cap (only where rows or clauses
+                   still enumerate; see README, CLI)
     delta, alpha   calibration values
     b_list         [b, ...]      (shift experiment)
     M              heavy-edge level (large-edges experiment)

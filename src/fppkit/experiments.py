@@ -44,8 +44,6 @@ from .renormalization import (
 from .rng import derive_seed
 from .tolerance import at_least, le
 
-SCHEMA_VERSION = 1
-
 
 def segment_region(n: int, d: int, pad: int) -> ProductBox:
     """Box around the segment 0 -> n e1 with the given l-inf padding."""
@@ -54,16 +52,38 @@ def segment_region(n: int, d: int, pad: int) -> ProductBox:
     return ProductBox(lo, hi)
 
 
-def _geodesic_panel(
-    f: WeightField, x: Vertex, y: Vertex, cap: int
-) -> tuple[list[LatticePath], bool, float]:
+def _geodesic_panel(dag: GeodesicDag, cap: int) -> tuple[list[LatticePath], bool]:
     """Enumerated geodesics (both extremal-length witnesses, the shorter of
-    them the first-lex geodesic, always included) plus the truncation flag
-    and the optimum, all from one engine (two Dijkstra runs)."""
-    dag = GeodesicDag.between(f.graph, f.w, x, y)
+    them the first-lex geodesic, always included) plus the truncation flag."""
     gs, ext = dag.geodesics(cap), dag.extremes()
-    paths = list(dict.fromkeys([*gs.paths, ext.witness_min, ext.witness_max]))
-    return paths, gs.truncated, gs.time
+    return list(dict.fromkeys([*gs.paths, ext.witness_min, ext.witness_max])), gs.truncated
+
+
+def _min_count_row(
+    f: WeightField, x: Vertex, y: Vertex, cap: int, cost: np.ndarray | None, count_of
+) -> dict:
+    """min_count, truncated and n_geodesics of a row: the least count_of(g)
+    over the geodesics g from x to y, their number, and whether the
+    enumeration was cut.
+
+    A count that sums a 0/1 cost per edge (cost not None) is minimised over
+    every geodesic by one search on the tight arcs from x, and count_of
+    must give its witness the same count.  n_geodesics is then the exact
+    path count with truncated 0, unless zero-weight cycles leave no count;
+    those two fields, and for any other count the minimum too, come from
+    the geodesics enumerated up to cap."""
+    dag = GeodesicDag.between(f.graph, f.w, x, y)
+    if cost is not None:
+        min_count, witness = dag.min_cost(cost)
+        if count_of(witness) != min_count:
+            raise AssertionError("tight-arc minimum differs from its witness's count")
+        n_geodesics = dag.count()
+        if n_geodesics is not None:
+            return dict(min_count=min_count, truncated=0, n_geodesics=n_geodesics)
+    paths, truncated = _geodesic_panel(dag, cap)
+    if cost is None:
+        min_count = min(count_of(g) for g in paths)
+    return dict(min_count=min_count, truncated=int(truncated), n_geodesics=len(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +100,9 @@ def run_deficiency(
     cap: int = 128,
     pad: int | None = None,
 ) -> list[dict]:
-    """min over enumerated geodesics 0 -> n e1 of the occurrence count N^P."""
+    """min over geodesics 0 -> n e1 of the occurrence count N^P: exact over
+    every geodesic for a one-edge pattern, over at most cap enumerated
+    geodesics otherwise (see _min_count_row)."""
     rows = []
     for n in n_list:
         region = segment_region(n, d, pad if pad is not None else max(6, n // 3))
@@ -89,12 +111,10 @@ def run_deficiency(
         for k in range(trials):
             s = derive_seed(seed, "deficiency", n, k)
             f = graph.field_from(graph.sample_weights(spec, s))
-            paths, truncated, _ = _geodesic_panel(f, x, y, cap)
-            min_n = min(count_occurrences(g, pattern, f) for g in paths)
-            rows.append(
-                dict(experiment="deficiency", n=n, trial=k, seed=s, min_count=min_n,
-                     truncated=int(truncated), n_geodesics=len(paths))
+            counts = _min_count_row(
+                f, x, y, cap, pattern.edge_cost(f), lambda g: count_occurrences(g, pattern, f)
             )
+            rows.append(dict(experiment="deficiency", n=n, trial=k, seed=s, **counts))
     return rows
 
 
@@ -118,7 +138,8 @@ def run_large_edges(
     d: int = 2,
     cap: int = 128,
 ) -> list[dict]:
-    """min over enumerated geodesics of the number of edges with time >= M."""
+    """min over every geodesic 0 -> n e1 of the number of edges with time
+    >= M (see _min_count_row)."""
     if spec.mass_in(M, math.inf) <= 0:
         raise ValueError(f"M={M} is above the support")
     rows = []
@@ -129,12 +150,10 @@ def run_large_edges(
         for k in range(trials):
             s = derive_seed(seed, "large_edges", n, k)
             f = graph.field_from(graph.sample_weights(spec, s))
-            paths, truncated, _ = _geodesic_panel(f, x, y, cap)
-            min_h = min(int(at_least(f.times_at(g.edges()), M).sum()) for g in paths)
-            rows.append(
-                dict(experiment="large_edges", n=n, trial=k, seed=s, min_count=min_h,
-                     truncated=int(truncated), n_geodesics=len(paths))
+            counts = _min_count_row(
+                f, x, y, cap, at_least(f.w, M), lambda g: int(at_least(f.times_at(g.edges()), M).sum())
             )
+            rows.append(dict(experiment="large_edges", n=n, trial=k, seed=s, **counts))
     return rows
 
 

@@ -21,7 +21,11 @@ region graph's arc table, with SUM_RTOL relative to max(1, |a|, |b|).
 Every prefix of an optimal self-avoiding path is itself optimal, so one
 depth-first walk of admissible arcs with a visited set meets each
 self-avoiding geodesic once; it serves enumeration and, when zero-weight
-cycles appear, the longest-geodesic search.
+cycles appear, the longest-geodesic search.  Quantities summed over a
+path's edges need no enumeration: the least 0/1 cost over every geodesic
+is one search on the single-source tight arcs (`tight_min_cost`), and on
+acyclic admissible arcs the number of geodesics is a path count in
+topological order.
 """
 
 from __future__ import annotations
@@ -62,10 +66,14 @@ def arc_dijkstra(
     source: int | np.ndarray,
     arcs: np.ndarray | None = None,
     reverse: bool = False,
-) -> np.ndarray:
+    predecessors: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Labels from source over the table arcs (those where the mask arcs is
     True), the k-th kept arc costing cost[k]; reverse turns every arc around.
     scipy keeps explicit zero entries, so zero-cost arcs stay arcs.
+    predecessors (one source, at most a 1-D mask) also returns the search
+    tree: each vertex's predecessor index, negative at the source and where
+    unreachable.
 
     A 2-D mask arcs (sources x table arcs) keeps one arc set per source of
     the index array source, cost listing the kept arcs row by row.  One
@@ -88,9 +96,34 @@ def arc_dijkstra(
     # read as CSC, the group of tail u lists arcs into u: every arc turned around
     matrix = (csc_array if reverse else csr_array)((cost, head, indptr), shape=(copies * n,) * 2)
     if np.ndim(arcs) < 2:
-        return csgraph_dijkstra(matrix, directed=True, indices=source)
+        return csgraph_dijkstra(matrix, directed=True, indices=source, return_predecessors=predecessors)
     starts = np.arange(copies) * n + source
     return csgraph_dijkstra(matrix, directed=True, indices=starts, min_only=True).reshape(copies, n)
+
+
+def tight_min_cost(
+    graph: RegionGraph,
+    w: np.ndarray,
+    dist: np.ndarray,
+    source: int | np.ndarray,
+    cost: np.ndarray,
+    predecessors: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Least total cost over the restricted-optimal paths from source to
+    every target (+inf where none), for a 0/1 cost per edge id, given the
+    source's labels dist: one search over the single-source tight arcs, each
+    table arc v -> u read as u -> v.  Every tight walk from the source is
+    time-optimal and cutting its loops adds no cost, so the minimum over
+    walks is the minimum over self-avoiding paths, zero-weight cycles
+    included.  The costs are integers, so the labels are exact.
+
+    A (sources x n) dist with an index array source gives one row per
+    source, all in one search over disjoint copies; predecessors (one
+    source) also returns the search tree, see arc_dijkstra."""
+    tail, head, edge = graph.arc_table
+    tight = close(dist[..., head] + w[edge], dist[..., tail])
+    kept = np.broadcast_to(cost[edge], tight.shape)[tight].astype(np.float64)
+    return arc_dijkstra(graph, kept, source, arcs=tight, reverse=True, predecessors=predecessors)
 
 
 class _ArcLists(Sequence):
@@ -184,19 +217,55 @@ class GeodesicDag:
         ones = np.ones(np.count_nonzero(self._admissible))
         return arc_dijkstra(self.graph, ones, self.graph.vindex[self.target], self._admissible, reverse=True)
 
-    def _acyclic_longest(self) -> list[int] | None:
-        """Longest x -> y path over admissible arcs, or None if they hold a
-        (zero-weight) cycle; ties go to the first arc in direction order."""
-        xi, yi = self.graph.vindex[self.source], self.graph.vindex[self.target]
+    @cached_property
+    def _topological(self) -> list[int] | None:
+        """The vertices on admissible arcs in Kahn's topological order from
+        x, or None if the arcs hold a (zero-weight) cycle.  Every admissible
+        arc lies on an x -> y walk of admissible arcs, so x is the only
+        source of an acyclic admissible digraph."""
+        xi = self.graph.vindex[self.source]
         indeg = np.bincount(self.graph.arc_table[1][self._admissible], minlength=self.graph.n).tolist()
-        order = [] if indeg[xi] else [xi]  # Kahn's topological order
+        order = [] if indeg[xi] else [xi]
         for u in order:
             for v, _ in self.arcs[u]:
                 indeg[v] -= 1
                 if not indeg[v]:
                     order.append(v)
-        if any(indeg):
+        return None if any(indeg) else order
+
+    def count(self) -> int | None:
+        """Number of self-avoiding geodesics x -> y, in Python ints: the
+        path count over the admissible arcs, summed in topological order.
+        None when the arcs hold a zero-weight cycle, where walks and
+        self-avoiding paths part."""
+        order = self._topological
+        if order is None:
             return None
+        paths = {order[0]: 1}
+        for u in order:
+            for v, _ in self.arcs[u]:
+                paths[v] = paths.get(v, 0) + paths[u]
+        return paths[self.graph.vindex[self.target]]
+
+    def min_cost(self, edge_cost: np.ndarray) -> tuple[int, LatticePath]:
+        """Least total of a 0/1 cost per edge id over every geodesic x -> y,
+        and a geodesic that attains it (see tight_min_cost).  The witness
+        is the search tree's path to y, so it is self-avoiding even when
+        zero-weight cycles are present."""
+        xi, yi = self.graph.vindex[self.source], self.graph.vindex[self.target]
+        labels, pred = tight_min_cost(self.graph, self.weights, self.dist, xi, edge_cost, predecessors=True)
+        verts = [yi]
+        while verts[-1] != xi:
+            verts.append(int(pred[verts[-1]]))
+        return int(labels[yi]), self._path(verts[::-1])
+
+    def _acyclic_longest(self) -> list[int] | None:
+        """Longest x -> y path over admissible arcs, or None if they hold a
+        (zero-weight) cycle; ties go to the first arc in direction order."""
+        order = self._topological
+        if order is None:
+            return None
+        xi, yi = order[0], self.graph.vindex[self.target]
         longest = {yi: 0}
         for u in reversed(order):
             if u != yi:

@@ -709,6 +709,14 @@ def first_stage_bounded(
     return Stage1Bounded(box, gamma, frozenset(e_star_plus), target1, anchors)
 
 
+def _nabla_alpha(constants: ConstantsSet) -> tuple[float, float]:
+    """constants.nabla and constants.alpha, which the bounded plan and its
+    verifier cannot do without."""
+    if constants.nabla is None or constants.alpha is None:
+        raise ValueError("the bounded modification needs constants.nabla and constants.alpha")
+    return constants.nabla, constants.alpha
+
+
 def build_plan_bounded(
     f: WeightField,
     stage1: Stage1Bounded,
@@ -728,6 +736,7 @@ def build_plan_bounded(
     rule" point resolves to the lexicographic minimum.  A missing anchor
     raises PlanError naming it.
     """
+    nabla, _ = _nabla_alpha(constants)
     if not stage1.target1.satisfied_by(donor1):
         raise PlanError("donor T' does not satisfy the first-stage event")
     box, gamma = stage1.box, stage1.gamma
@@ -736,7 +745,6 @@ def build_plan_bounded(
     b1, b2 = box.ball(1), box.ball(2)
     rho, delta_p = constants.rho, constants.delta_prime
     c0 = stage1.anchors["c0"]
-    nabla = constants.nabla or 0.0
     N = box.N
     in_mu = np.flatnonzero(mu_oracle(np.array(gamma.vertices) - c0) <= nabla * N)
     if not len(in_mu):
@@ -840,6 +848,7 @@ def verify_modification_bounded(
     fail; the report carries below_thresholds so callers can distinguish
     'clause false' from 'constants below the derived thresholds'.
     """
+    nabla, alpha = _nabla_alpha(constants)
     for tgt, donor, name in ((plan.target1, donor1, "T'"), (plan.target2, donor2, "T''")):
         if not tgt.satisfied_by(donor):
             raise PlanError(f"donor {name} does not satisfy its target event")
@@ -880,7 +889,6 @@ def verify_modification_bounded(
     n_after = sum(
         1 for e in gamma.subpath(plan.anchors["v0"], plan.anchors["v"]).edges() if e in plan.e_star_plus
     )
-    alpha = constants.alpha or 0.0
     floor = alpha * (plan.box.radii[2] - plan.box.radii[1]) * plan.box.N
     rep.add(
         "first-stage heavy-edge counts on both legs",
@@ -899,7 +907,7 @@ def verify_modification_bounded(
     )
     if mu_oracle is not None:
         mu_uv = mu_oracle(vsub(plan.anchors["u1"], plan.anchors["v1"]))
-        floor7 = plan.box.N * (constants.nabla or 0.0)
+        floor7 = plan.box.N * nabla
         rep.add(
             "mu separation of the highway anchors: mu(u1 - v1) >= N nabla",
             le(floor7, mu_uv),
@@ -911,7 +919,7 @@ def verify_modification_bounded(
     post = first_lex_geodesic(v2, x, star)
     gpi_mid = plan.pi.subpath(u2, v2)
     t_gpi = dstar.path_time(gpi_mid) + dstar.path_time(pre) + dstar.path_time(post)
-    floor8 = plan.box.N * (constants.nabla or 0.0) * (constants.delta - constants.delta_prime) / (2 * constants.C_mu)
+    floor8 = plan.box.N * nabla * (constants.delta - constants.delta_prime) / (2 * constants.C_mu)
     rep.add(
         "highway saving floor: T*(gamma) - T**(gamma^pi) >= N nabla (delta-delta') / (2 C_mu)",
         le(floor8, star.path_time(gamma) - t_gpi),

@@ -35,7 +35,7 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .tolerance import TIME_ATOL, WALL_LEVEL, agree
+from .tolerance import TIME_ATOL, WALL_LEVEL, agree, in_interval
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,22 @@ class Pattern:
     @property
     def dim(self) -> int:
         return self.region.dim
+
+    def edge_cost(self, f: WeightField) -> np.ndarray | None:
+        """Per edge id of f's graph, whether a step over the edge takes the
+        pattern, or None when the support is more than one edge.  On a
+        one-edge support a self-avoiding path takes the pattern at x exactly
+        when it steps over the support's translate by x and the event holds
+        there, so N^P of a path is the sum of this cost over its edges.  The
+        event is tested by `tolerance.in_interval`, as in condition_holds."""
+        box = self.region.bounds  # tight, so a box of two points holds just the endpoints
+        if math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) != 2:
+            return None
+        axis = int(np.flatnonzero(np.subtract(self.v_end, self.u_end))[0])
+        cost = f.graph.axis == axis
+        for lo, hi in zip(self.event.lo.tolist(), self.event.hi.tolist()):  # constraints lie on the support: one edge
+            cost &= in_interval(f.w, lo, hi)
+        return cost
 
     def serialize(self) -> str:
         box = self.region.bounds

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .fields import WeightField
-from .geodesics import GeodesicDag, RegionGraph, _resolve, arc_dijkstra, dijkstra, enumerate_geodesics
+from .geodesics import GeodesicDag, RegionGraph, _resolve, dijkstra, enumerate_geodesics, tight_min_cost
 from .lattice import (
     LatticePath,
     L1Ball,
@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .patterns import OrientedPattern, Pattern, hits_inside
 from .rng import derive_seed
-from .tolerance import INPUT_ATOL, agree, at_least, close, le, lt
+from .tolerance import INPUT_ATOL, agree, at_least, le, lt
 
 
 @dataclass(frozen=True)
@@ -450,21 +450,6 @@ def typicality_unbounded(
     return TypicalityReport(box, (c1, c2, c3), below)
 
 
-def _tight_min_heavy_all(
-    graph: RegionGraph, w: np.ndarray, dist: np.ndarray, sources: np.ndarray, heavy: np.ndarray
-) -> np.ndarray:
-    """Min number of heavy edges over restricted-optimal source -> . paths,
-    for every target at once (+inf where none), one row per source given
-    its labels (dist, sources x n): 0/1 costs on each row's single-source
-    tight arcs, each table arc v -> u read as u -> v, every row in one
-    search over disjoint copies.  The costs are integers, so the labels
-    are exact."""
-    tail, head, edge = graph.arc_table
-    tight = close(dist[:, head] + w[edge], dist[:, tail])
-    cost = np.broadcast_to(heavy[edge], tight.shape)[tight].astype(np.float64)
-    return arc_dijkstra(graph, cost, sources, arcs=tight, reverse=True)
-
-
 def _mu_values(mu_oracle, disp: np.ndarray) -> np.ndarray:
     """The mu oracle on a (k x d) displacement array: k values."""
     mu = np.asarray(mu_oracle(disp), dtype=np.float64)
@@ -524,7 +509,7 @@ def typicality_bounded(
                 k = off[0]
                 wit[2] = f"pair {vs[batch[rows[pr[k]]]]}->{vs[pj[k]]}: t={t[k]:.6g} vs mu={mu[k]:.6g}"
         if not wit[0] and len(rows):  # heavy-edge density on restricted-optimal paths
-            hmin = _tight_min_heavy_all(graph4, w4, dist[rows], batch[rows], heavy)
+            hmin = tight_min_cost(graph4, w4, dist[rows], batch[rows], heavy)
             pair = _first_pair(pairs & (hmin < alpha * sep[rows]))
             if pair is not None:
                 r, j = pair

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import sample_field
-from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra
+from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra, tight_min_cost
 from fppkit.lattice import L1Ball, ProductBox, canonical_edge, direction_order, vadd
 from fppkit.oracle import exact_optimal_set, heap_dijkstra, region_edges, restricted_times
-from fppkit.renormalization import _tight_min_heavy_all
 from fppkit.tolerance import SUM_RTOL
 
 # zero atoms give zero-weight tight cycles (the budgeted walk); the first
@@ -105,9 +104,40 @@ def test_engine_agrees_with_oracle(inst):
 
     heavy = dag.weights >= HEAVY
     g = dag.graph
-    hmin = _tight_min_heavy_all(g, dag.weights, dag.dist[None], np.array([g.vindex[x]]), heavy)[0]
+    hmin = tight_min_cost(g, dag.weights, dag.dist[None], np.array([g.vindex[x]]), heavy)[0]
     brute = min(sum(f.time(e) >= HEAVY for e in p.edges()) for p in truth.paths)
     assert hmin[g.vindex[y]] == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_min_cost_and_count_agree_with_oracle(inst):
+    region, f, x, y = inst
+    dag = _engine(region, f, x, y)
+    truth = exact_optimal_set(x, y, region, f)
+    heavy = dag.weights >= HEAVY
+    least, witness = dag.min_cost(heavy)
+    # the witness is one of the self-avoiding geodesics, zero-weight cycles or not
+    assert witness.vertices in {p.vertices for p in truth.paths}
+    assert least == sum(f.time(e) >= HEAVY for e in witness.edges())
+    assert least == min(sum(f.time(e) >= HEAVY for e in p.edges()) for p in truth.paths)
+    # the admissible arcs hold a cycle iff one of them weighs zero (its
+    # reverse is then admissible too); labels from the oracle's heapq search
+    tx, ty = restricted_times(region, f, x), restricted_times(region, f, y)
+    cyclic = any(
+        f.time((a, b)) == 0 and _close(tx[a] + ty[b], truth.optimum) for a, b in region_edges(region)
+    )
+    assert dag.count() == (None if cyclic else len(truth.paths))
+
+
+def test_count_is_none_on_a_zero_weight_tight_cycle():
+    region = ProductBox((0, 0), (2, 1))
+    graph = RegionGraph(region)
+    w = np.ones(len(graph.edges))
+    w[graph.edge_ids([((1, 0), (1, 1))])] = 0.0  # both ways across it are tight
+    dag = GeodesicDag.between(graph, w, (0, 0), (2, 1))
+    assert dag.count() is None
+    assert dag.geodesics().paths and dag.min_cost(w == 0)[0] == 1
 
 
 KERNEL_LAWS = (
@@ -162,7 +192,7 @@ def test_tight_min_heavy_all_equals_the_heapq_dict(inst, picks):
     sources = np.array([source] + picks) % graph.n
     dist = dijkstra(graph, w, sources)
     heavy = w >= HEAVY
-    hmin = _tight_min_heavy_all(graph, w, dist, sources, heavy)
+    hmin = tight_min_cost(graph, w, dist, sources, heavy)
     assert hmin.shape == (len(sources), graph.n)
     for row, s, d in zip(hmin, sources.tolist(), dist):
         # the loop the kernel replaced: heapq over the single-source tight arcs u -> v

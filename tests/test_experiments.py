@@ -1,5 +1,10 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fppkit import experiments
 from fppkit.distributions import DistributionSpec
 from fppkit.experiments import (
     calibrate_alpha,
@@ -13,9 +18,11 @@ from fppkit.experiments import (
     segment_region,
     summarize_deficiency,
 )
-from fppkit.geodesics import RegionGraph, first_lex_geodesic
-from fppkit.patterns import heavy_edge_pattern, count_occurrences
+from fppkit.geodesics import GeodesicDag, RegionGraph, first_lex_geodesic
+from fppkit.oracle import exact_optimal_set, oracle_pattern_count
+from fppkit.patterns import atom_square_pattern, heavy_edge_pattern, count_occurrences
 from fppkit.renormalization import derive_constants
+from fppkit.tolerance import at_least
 
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 DELTA2 = DistributionSpec(atoms=((2.0, 1.0),))
@@ -196,3 +203,53 @@ def test_large_edges_zero_probability_decays():
         by_n.setdefault(r["n"], []).append(r["min_count"] == 0)
     p = {n: sum(v) / len(v) for n, v in by_n.items()}
     assert p[2] > p[4] > p[6] > p[10]
+
+
+# the zero atoms give zero-weight tight cycles, where rows take n_geodesics
+# from the enumeration; the oracle needs strips one vertex wide around the segment
+ROW_LAWS = (
+    ATOMS12,
+    DistributionSpec(atoms=((0.0, 0.3), (1.0, 0.4), (2.0, 0.3))),
+    DistributionSpec(atoms=((0.0, 0.2),), uniforms=((1.0, 2.5, 0.8),)),
+)
+
+
+def _assert_rows_exact(rows, spec, count):
+    """Each row's min_count and n_geodesics are the min of count and the
+    number of paths over the oracle's complete optimal set."""
+    assert rows
+    for r in rows:
+        region = segment_region(r["n"], 2, 1)
+        graph = RegionGraph(region)
+        f = graph.field_from(graph.sample_weights(spec, r["seed"]))
+        truth = exact_optimal_set((0, 0), (r["n"], 0), region, f)
+        want = (min(count(g, f) for g in truth.paths), 0, len(truth.paths))
+        assert (r["min_count"], r["truncated"], r["n_geodesics"]) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ROW_LAWS), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_deficiency_rows_are_exact_over_every_geodesic(spec, n, seed):
+    pat = heavy_edge_pattern(2.0)
+    rows = run_deficiency(spec, pat, [n], 3, seed=seed, pad=1)
+    _assert_rows_exact(rows, spec, lambda g, f: oracle_pattern_count(g, pat, f))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ROW_LAWS), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_large_edges_rows_are_exact_over_every_geodesic(spec, n, seed):
+    narrow = lambda n, d, pad: segment_region(n, d, 1)  # noqa: E731
+    with mock.patch.object(experiments, "segment_region", narrow):
+        rows = run_large_edges(spec, 2.0, [n], 3, seed=seed)
+    _assert_rows_exact(rows, spec, lambda g, f: sum(bool(at_least(f.time(e), 2.0)) for e in g.edges()))
+
+
+def test_multi_edge_pattern_rows_come_from_the_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a multi-edge pattern reached the one-edge search")
+
+    monkeypatch.setattr(GeodesicDag, "min_cost", refuse)
+    monkeypatch.setattr(GeodesicDag, "count", refuse)
+    pat = atom_square_pattern(1.0)
+    rows = run_deficiency(ATOMS12, pat, [2, 4], 6, seed=8, pad=1)
+    _assert_rows_exact(rows, ATOMS12, lambda g, f: oracle_pattern_count(g, pat, f))

@@ -355,6 +355,21 @@ def test_bounded_verify_tampering_gate():
         verify_modification_bounded(plan, f, tampered, donor2, x, cs)
 
 
+@pytest.mark.parametrize("missing", ["nabla", "alpha"])
+def test_bounded_plan_and_verify_refuse_missing_constants(missing):
+    from dataclasses import replace
+
+    family, cs, region, box, x, mu, instances = _bounded_instances(1)
+    assert instances
+    f, gamma, stage1, donor1, plan, graph = instances[0]
+    donor2 = sample_conditioned(region, ORIENT_SPEC, plan.target2, 1)
+    bad = replace(cs, **{missing: None})
+    with pytest.raises(ValueError, match="nabla and constants.alpha"):
+        build_plan_bounded(f, stage1, donor1, family, bad, mu, region=region)
+    with pytest.raises(ValueError, match="nabla and constants.alpha"):
+        verify_modification_bounded(plan, f, donor1, donor2, x, bad, cap=16, mu_oracle=mu)
+
+
 def test_verified_instance_is_a_successful_box():
     # after a passing splice the box is successful by the direct check
     from fppkit.renormalization import successful_box_check

@@ -409,3 +409,29 @@ def test_atom_square_on_corridor_equal_extremes():
     f = f.replaced(bumps)
     ext = extreme_length_geodesics((-3, 0), (5, 0), f)
     assert ext.lmin == ext.lmax  # the square detour has equal length
+
+
+ONE_EDGE_PATTERNS = (
+    heavy_edge_pattern(2.0),
+    heavy_edge_pattern(0.0),
+    # along e2, endpoints listed downwards, an interval that holds the zero atom
+    Pattern(ProductBox((0, 0), (0, 1)), (0, 1), (0, 0), EdgeConstraintSet({((0, 0), (0, 1)): (0.0, 1.0)})),
+)
+
+
+@pytest.mark.parametrize("pattern", ONE_EDGE_PATTERNS)
+@pytest.mark.parametrize("seed", range(3))
+def test_edge_cost_is_the_one_step_condition(pattern, seed):
+    spec = DistributionSpec(atoms=((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
+    f = sample_field(ProductBox((0, 0), (4, 3)), spec, seed)
+    cost = pattern.edge_cost(f)
+    assert cost.dtype == bool and cost.shape == f.w.shape
+    for e, c in zip(f.edges(), cost.tolist()):
+        for step in (LatticePath(e), LatticePath(e[::-1])):  # both directions of travel
+            assert c == (count_occurrences(step, pattern, f) == 1)
+
+
+def test_edge_cost_is_none_beyond_one_edge():
+    f = sample_field(ProductBox((0, 0), (4, 3)), ATOMS12, 0)
+    for pattern in (atom_square_pattern(1.0), obstruction_pattern()):
+        assert pattern.edge_cost(f) is None
