@@ -69,21 +69,23 @@ def _min_count_row(
     A count that sums a 0/1 cost per edge (cost not None) is minimised over
     every geodesic by one search on the tight arcs from x, and count_of
     must give its witness the same count.  n_geodesics is then the exact
-    path count with truncated 0, unless zero-weight cycles leave no count;
-    those two fields, and for any other count the minimum too, come from
-    the geodesics enumerated up to cap."""
+    path count with truncated 0, unless zero-weight cycles leave no count:
+    then those two fields come from the geodesics enumerated up to cap.
+    Any other count is minimised over that enumeration plus both
+    extremal-length witnesses (_geodesic_panel)."""
     dag = GeodesicDag.between(f.graph, f.w, x, y)
-    if cost is not None:
-        min_count, witness = dag.min_cost(cost)
-        if count_of(witness) != min_count:
-            raise AssertionError("tight-arc minimum differs from its witness's count")
-        n_geodesics = dag.count()
-        if n_geodesics is not None:
-            return dict(min_count=min_count, truncated=0, n_geodesics=n_geodesics)
-    paths, truncated = _geodesic_panel(dag, cap)
     if cost is None:
+        paths, truncated = _geodesic_panel(dag, cap)
         min_count = min(count_of(g) for g in paths)
-    return dict(min_count=min_count, truncated=int(truncated), n_geodesics=len(paths))
+        return dict(min_count=min_count, truncated=int(truncated), n_geodesics=len(paths))
+    min_count, witness = dag.min_cost(cost)
+    if count_of(witness) != min_count:
+        raise AssertionError("tight-arc minimum differs from its witness's count")
+    n_geodesics = dag.count()
+    if n_geodesics is not None:
+        return dict(min_count=min_count, truncated=0, n_geodesics=n_geodesics)
+    gs = dag.geodesics(cap)
+    return dict(min_count=min_count, truncated=int(gs.truncated), n_geodesics=len(gs.paths))
 
 
 # ---------------------------------------------------------------------------

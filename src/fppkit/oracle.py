@@ -6,6 +6,8 @@ Four independent routes, deliberately different from the engine:
   * Floyd-Warshall min-plus closure for all-pairs optimum values,
   * a heapq Dijkstra over an edge-keyed adjacency (the kernel's labels).
 None of them shares code with the Dijkstra/DAG machinery they check.
+Seed derivation and the nu(N) estimate have references here too, on numpy
+scalars and one trial at a time, with their own splitmix64 finalizer.
 `region_vertices` lists a region's vertices by scalar `contains` tests over
 its bounding box, apart from the masked grid of `Region.coords`, and
 `region_edges` lists its edges the same way, apart from the vectorised
@@ -264,6 +266,44 @@ def oracle_pattern_count(path: LatticePath, pattern, f: WeightField) -> int:
         if ok:
             count += 1
     return count
+
+
+def _splitmix64(x) -> np.ndarray:
+    """The splitmix64 finalizer on uint64 values; products wrap mod 2**64."""
+    x = np.asarray(x, dtype=np.uint64).copy()
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def derive_seed_scalars(master: int, *parts: int | str) -> int:
+    """rng.derive_seed as a chain of numpy uint64 scalars, for Python-int
+    masters and int parts."""
+    h = np.uint64(master & 0xFFFFFFFFFFFFFFFF)
+    for part in parts:
+        if isinstance(part, str):
+            word = np.uint64(len(part))
+            for b in part.encode():
+                word = _splitmix64(word ^ np.uint64(b))[()]
+        else:
+            word = np.uint64(part & 0xFFFFFFFFFFFFFFFF)
+        h = _splitmix64(h ^ word)[()]
+    return int(h)
+
+
+def estimate_nu_per_trial(spec, n_edges: int, seed: int, trials: int = 400, q: float = 0.99) -> float:
+    """renormalization.estimate_nu drawn and summed one trial at a time."""
+    totals = np.empty(trials)
+    idx = np.arange(n_edges, dtype=np.uint64)
+    for k in range(trials):
+        base = np.uint64(derive_seed_scalars(seed, "nu", k))
+        h = _splitmix64(_splitmix64(base ^ idx) ^ np.uint64(0xA5A5A5A5A5A5A5A5))
+        u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        totals[k] = spec.ppf(u).sum()
+    return float(np.quantile(totals, q))
 
 
 # Corner-to-corner self-avoiding path counts for the LxL grid graph

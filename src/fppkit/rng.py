@@ -12,6 +12,8 @@ All functions accept numpy arrays and are vectorized; scalars work too.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Coordinates are packed injectively into two 64-bit words, so the working
@@ -19,13 +21,19 @@ import numpy as np
 COORD_BITS = 21
 COORD_BOUND = 1 << (COORD_BITS - 1)
 
+_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_M1, _M2 = int(_MIX1), int(_MIX2)  # the same multipliers for Python-int words
 
 
 def _mix64(x: np.ndarray | np.uint64) -> np.ndarray:
-    x = np.asarray(x, dtype=np.uint64).copy()
+    return _mix64_inplace(np.asarray(x, dtype=np.uint64).copy())
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer applied to a uint64 array in place."""
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -63,22 +71,36 @@ def edge_uniforms(seed: int, key_lo: np.ndarray, key_hi: np.ndarray, draw: int =
     """Uniform(0,1) variate for each edge stream, draw index ``draw``."""
     key_lo = np.asarray(key_lo, dtype=np.uint64)
     key_hi = np.asarray(key_hi, dtype=np.uint64)
-    seed_word = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _GOLDEN
+    seed_word = np.uint64(operator.index(seed) & _MASK) ^ _GOLDEN
     h = _mix64(seed_word ^ key_lo)
     h = _mix64(h ^ key_hi ^ (_GOLDEN * np.uint64(draw + 1)))
     h = _mix64(h)
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
 
 
+def _mix64_int(x: int) -> int:
+    """_mix64 of one word held as a Python int below 2**64."""
+    x ^= x >> 30
+    x = (x * _M1) & _MASK
+    x ^= x >> 27
+    x = (x * _M2) & _MASK
+    return x ^ (x >> 31)
+
+
 def derive_seed(master: int, *parts: int | str) -> int:
-    """Stable child seed from a master seed and a tag path (experiment, n, trial)."""
-    h = np.uint64(master & 0xFFFFFFFFFFFFFFFF)
+    """Stable child seed from a master seed and a tag path (experiment, n, trial).
+
+    Integers (Python or numpy) enter as their value mod 2**64, a string as
+    its length mixed with each UTF-8 byte; the chain runs on Python ints,
+    since a per-call numpy scalar costs more than the arithmetic.
+    """
+    h = operator.index(master) & _MASK
     for part in parts:
         if isinstance(part, str):
-            word = np.uint64(len(part))
+            word = len(part)
             for b in part.encode():
-                word = _mix64(word ^ np.uint64(b))[()]
+                word = _mix64_int(word ^ b)
         else:
-            word = np.uint64(part & 0xFFFFFFFFFFFFFFFF)
-        h = _mix64(h ^ word)[()]
-    return int(h)
+            word = operator.index(part) & _MASK
+        h = _mix64_int(h ^ word)
+    return h

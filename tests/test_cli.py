@@ -2,6 +2,7 @@ import pytest
 
 from fppkit.cli import main
 from fppkit.config import parse_config, read_csv, spec_from_config, write_csv
+from fppkit.geodesics import GeodesicDag
 
 
 def test_parse_config():
@@ -185,6 +186,34 @@ def test_cli_large_edges_and_typical_rate(tmp_path):
     assert main(["typical-rate", "--config", cfg, "--out", str(tmp_path / "tr.csv")]) == 0
     rows = read_csv(str(tmp_path / "tr.csv"))
     assert {"clause1", "clause2", "clause3", "typical"} <= set(rows[0])
+
+
+def test_zero_atom_one_edge_rows_enumerate_without_the_extremal_walk(tmp_path, monkeypatch):
+    # zero-weight cycles leave no path count, so n_geodesics and truncated
+    # come from the capped enumeration alone; min_count stays the exact search's
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-edge row ran the extremal-length walk")
+
+    monkeypatch.setattr(GeodesicDag, "extremes", refuse)
+    cfg = _write(
+        tmp_path,
+        """
+        atoms = [(0.0, 0.3), (1.0, 0.4), (2.0, 0.3)]
+        pattern = av_edge
+        pattern_params = {"M": 2.0}
+        M = 2.0
+        n_list = [28]
+        trials = 6
+        seed = 5
+        cap = 16
+        """,
+    )
+    for cmd in ("deficiency", "large-edges"):
+        out = str(tmp_path / f"{cmd}.csv")
+        assert main([cmd, "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert any(r["truncated"] for r in rows)
+        assert all(r["n_geodesics"] == 16 for r in rows if r["truncated"])
 
 
 def test_cli_typical_rate_bounded_requires_mu_rate(tmp_path):

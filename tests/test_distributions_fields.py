@@ -34,6 +34,17 @@ def test_spec_text_round_trip():
     assert DistributionSpec.from_text(s.to_text()) == s
 
 
+def test_ppf_picks_pieces_as_searchsorted_right():
+    # a uniform landing exactly on a cumulative-mass cut belongs to the next piece
+    spec = DistributionSpec(atoms=((1.0, 0.25), (2.0, 0.25), (3.0, 0.5)))
+    q = np.array([[0.0, 0.25, np.nextafter(0.25, 0.0)], [0.5, 0.75, np.nextafter(1.0, 0.0)]])
+    assert spec.ppf(q).tolist() == [[1.0, 2.0, 1.0], [3.0, 3.0, 3.0]]
+    mixed = DistributionSpec(atoms=((0.0, 0.2),), uniforms=((1.0, 2.0, 0.8),))
+    u = np.linspace(0.0, 1.0, 101)[:-1]
+    cum = np.array([0.2, 1.0])
+    assert np.array_equal(mixed.ppf(u) == 0.0, np.searchsorted(cum, u, side="right") == 0)
+
+
 def test_sample_field_constant_atom():
     region = ProductBox((0, 0), (3, 3))
     f = sample_field(region, DistributionSpec(atoms=((2.5, 1.0),)), 7)

@@ -10,7 +10,9 @@ and `edges_within` refuses a sub-region that sticks out.  Events
 (the arrays behind `EdgeConstraintSet`) are checked against an edge-keyed
 dict reference, and conditioned sampling against the dict-grouped sampler.
 A graph's `EdgeList` is checked to sample the same bytes as its plain-list
-copy, to refuse edits, to pickle, and to leave no reference cycle.
+copy, to refuse edits, to pickle, and to leave no reference cycle.  Seed
+derivation is checked against the numpy-scalar chain of
+`oracle.derive_seed_scalars`, and takes numpy integers as their value.
 """
 
 import copy
@@ -22,7 +24,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
@@ -52,9 +54,9 @@ from fppkit.lattice import (
     unit,
     vadd,
 )
-from fppkit.oracle import region_edges, region_vertices
+from fppkit.oracle import derive_seed_scalars, region_edges, region_vertices
 from fppkit.patterns import condition_holds, heavy_edge_pattern, two_route_pattern_unbounded
-from fppkit.rng import edge_uniforms, pack_edge_keys
+from fppkit.rng import derive_seed, edge_uniforms, pack_edge_keys
 
 SPEC = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),))
 EXTENTS = {2: (4, 3), 3: (2, 2, 1)}  # boxes up to 5x4 and 3x3x2 vertices
@@ -484,3 +486,26 @@ def test_a_region_graph_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+WORDS = st.integers(-(2**70), 2**70)
+TAGS = st.one_of(st.text(), st.sampled_from(["", "nu", "\x00", "naïve", "ν(N) 🙂"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS, st.lists(st.one_of(WORDS, TAGS), max_size=5))
+@example(2**64 + 3, [-1, 2**64, 2**64 - 1, "", "ν"])
+def test_derive_seed_matches_the_numpy_scalar_chain(master, parts):
+    assert derive_seed(master, *parts) == derive_seed_scalars(master, *parts)
+
+
+def test_derive_seed_and_edge_uniforms_take_numpy_integers_as_their_value():
+    keys = pack_edge_keys(np.array([[0, 0], [3, -2]]), np.array([0, 1]))
+    for five in (np.int64(5), np.uint64(5), np.int32(5), np.uint8(5)):
+        assert derive_seed(1, "x", five) == derive_seed(1, "x", 5)
+        assert derive_seed(five, "x") == derive_seed(5, "x")
+        assert edge_uniforms(five, *keys).tobytes() == edge_uniforms(5, *keys).tobytes()
+    assert derive_seed(np.int64(-3), np.int64(-1)) == derive_seed(2**64 - 3, np.uint64(2**64 - 1))
+    assert derive_seed(np.int64(-3), np.int64(-1)) == derive_seed_scalars(-3, -1)
+    with pytest.raises(TypeError):
+        derive_seed(1, 2.0)

@@ -11,9 +11,10 @@ from fppkit.distributions import DistributionSpec
 from fppkit.fields import constant_field, sample_field, splice
 from fppkit.geodesics import GeodesicDag, RegionGraph, dijkstra, exact_norm_oracle, first_lex_geodesic
 from fppkit.lattice import L1Ball, LatticePath, ProductBox, direction_order, l1, monotone_path, vadd, vscale
-from fppkit.oracle import heap_dijkstra, region_edges
+from fppkit.oracle import estimate_nu_per_trial, heap_dijkstra, region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
+    NU_BLOCK,
     BoxScale,
     box_in_annulus,
     crosses,
@@ -303,6 +304,24 @@ def test_bad_typicality_settings_fail_loudly():
 def test_estimate_nu_quantile():
     nu = estimate_nu(ATOMS12, 100, seed=4, trials=300)
     assert 100.0 <= nu <= 200.0  # between all-1 and all-2 sums
+
+
+NU_LAWS = {
+    "atoms": ATOMS12,
+    "atom+exp": DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),)),
+    "atoms+uniform": DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("n_edges", [1, 7, 2304, NU_BLOCK + 1, 3 * NU_BLOCK + 5])
+@pytest.mark.parametrize("law", NU_LAWS)
+def test_estimate_nu_equals_the_per_trial_reference(law, n_edges):
+    # blocks of several trials with a short last block, then each trial
+    # drawn in slices with a short last slice
+    spec = NU_LAWS[law]
+    for trials, q in product((1, 3, 400), (0.5, 0.99)):
+        seed = derive_seed(16, law, n_edges, trials)
+        assert estimate_nu(spec, n_edges, seed, trials, q) == estimate_nu_per_trial(spec, n_edges, seed, trials, q)
 
 
 def test_m_sequence_invariants_random_maps():
