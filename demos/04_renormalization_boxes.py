@@ -6,7 +6,6 @@ Run:  python3 demos/04_renormalization_boxes.py
 from dataclasses import replace
 
 import fppkit as fpp
-from fppkit.renormalization import estimate_nu
 
 spec = fpp.DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 pat = fpp.heavy_edge_pattern(2.0)
@@ -14,13 +13,14 @@ cs = fpp.derive_constants("unbounded", spec, pat, delta=0.25, c_mu=1.0, C_mu=1.6
 print("derived-scale radii would be", (cs.r1, cs.r2, cs.r3),
       "- desk boxes override them")
 
-# A desk-scale box with overridden radii and an empirical nu(N); the
-# profile clause needs a wide gap between the B2 and B3 radii, and the
+# A desk-scale box with overridden radii, and nu(N) the Chernoff level of
+# its B2 edges (their weight sum reaches it with probability at most 1%).
+# The profile clause needs a wide gap between the B2 and B3 radii, and the
 # no-fast-pair clause only becomes probable once (r2 - r1) N is large,
 # which is exactly why the derived radii dwarf desk scale
 box = fpp.BoxScale((0, 0), 2, (1, 2, 16), "unbounded")
 n_b2 = len(fpp.RegionGraph(box.ball(2)).edges)
-nu_N = 1.6 * n_b2
+nu_N = fpp.nu_level(spec, n_b2)
 rates = {1: 0, 2: 0, 3: 0}
 for seed in range(40):
     f = fpp.sample_field(box.outer, spec, seed)

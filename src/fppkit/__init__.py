@@ -68,6 +68,7 @@ from .renormalization import (
     derive_constants,
     m_sequence,
     meta_cube_animal,
+    nu_level,
     successful_box_check,
     typicality_bounded,
     typicality_unbounded,

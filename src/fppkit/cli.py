@@ -181,11 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         if regime == "bounded" and "mu_rate" not in cfg:
             raise SystemExit("config key 'mu_rate' is required by typical-rate in the bounded regime")
         pattern = build_pattern(cfg["pattern"], cfg.get("pattern_params", {}), spec, d)
-        # nu(N) is estimated inside run_typical_rate at the override radii;
-        # the derived (derived-scale) B2 would be enormous
+        # nu(N) is set inside run_typical_rate at the override radii
         constants = derive_constants(
             regime, spec, pattern, delta, alpha, float(cfg.get("c_mu", 1.0)),
-            float(cfg.get("C_mu", 2.0)), (), seed,
+            float(cfg.get("C_mu", 2.0)),
         )
         radii = tuple(int(r) for r in cfg["radii"])
         mu_oracle = exact_norm_oracle(float(cfg["mu_rate"])) if "mu_rate" in cfg else None

@@ -75,13 +75,19 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
+# A schema's version rises when its rows change for a pinned (config,
+# seed).  v2: nu(N) is the Cramer-Chernoff level, no longer a sampled
+# quantile, which moves modify-demo gates and typical-rate clause (iii).
+SCHEMA_VERSIONS = {"modify_demo": 2, "typical_rate": 2}
+
+
 def write_csv(path: str, rows: list[dict], schema: str) -> None:
     """Header line plus a schema-version comment; floats at 12 digits."""
     if not rows:
         raise ValueError("no rows to write")
     cols = list(rows[0].keys())
     with open(path, "w") as fh:
-        fh.write(f"# fppkit schema={schema} v1\n")
+        fh.write(f"# fppkit schema={schema} v{SCHEMA_VERSIONS.get(schema, 1)}\n")
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")

@@ -59,6 +59,20 @@ class _Piece:
     def sup(self) -> float:
         return self.a if self.kind == "atom" else (self.b if self.kind == "uniform" else math.inf)
 
+    def log_mgf(self, theta: float) -> float:
+        """log E[exp(theta T) | piece]; inf where an exponential tail diverges."""
+        if self.kind == "atom":
+            return theta * self.a
+        if self.kind == "uniform":
+            x = theta * (self.b - self.a)
+            if x == 0:
+                return theta * self.a
+            if x > 30:  # the same log, in a form that cannot overflow
+                return theta * self.b - math.log(x) + math.log1p(-math.exp(-x))
+            return theta * self.a + math.log(math.expm1(x) / x)
+        rate = self.b
+        return theta * self.a - math.log1p(-theta / rate) if theta < rate else math.inf
+
     def ppf_within(self, q: np.ndarray, lo: float, hi: float) -> np.ndarray:
         """Quantile of the piece conditioned to [lo, hi]; q in [0,1)."""
         if self.kind == "atom":
@@ -147,6 +161,16 @@ class DistributionSpec:
             else:
                 m += p.prob * (p.a + 1.0 / p.b)
         return m
+
+    def log_mgf(self, theta: float) -> float:
+        """Log moment generating function log E[exp(theta T)], in closed form
+        per piece and combined in log space; inf at or beyond the smallest
+        exponential-tail rate."""
+        terms = [math.log(p.prob) + p.log_mgf(theta) for p in self._pieces]
+        top = max(terms)
+        if math.isinf(top):
+            return top
+        return top + math.log(sum(math.exp(t - top) for t in terms))
 
     # -- measure ------------------------------------------------------------
 

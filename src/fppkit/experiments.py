@@ -37,7 +37,7 @@ from .renormalization import (
     _pattern_cap,
     crosses,
     derive_constants,
-    estimate_nu,
+    nu_level,
     typicality_bounded,
     typicality_unbounded,
 )
@@ -284,7 +284,7 @@ def run_typical_rate(
         nu_N = None
         if regime == "unbounded":
             n_edges = box.ball(2).edge_count()
-            nu_N = estimate_nu(spec, n_edges, derive_seed(seed, "nu", N))
+            nu_N = nu_level(spec, n_edges)
         for k in range(boxes):
             s = derive_seed(seed, "typical", N, k)
             f = graph.field_from(graph.sample_weights(spec, s))
@@ -340,9 +340,7 @@ def run_modification_demo_unbounded(
     cube_pat = enlarge_to_cube(base_pattern, m_cap)
     if delta is None:
         delta = calibrate_delta(spec, seed=derive_seed(seed, "cal"), d=d)
-    constants = derive_constants(
-        "unbounded", spec, cube_pat, delta, c_mu=1.0, C_mu=2.0, seed=seed
-    )
+    constants = derive_constants("unbounded", spec, cube_pat, delta, c_mu=1.0, C_mu=2.0)
     r1, r2, r3 = radii
     lam = cube_pat.region.radius
     s_center = (r2 + 2,) + (0,) * (d - 1)
@@ -355,7 +353,7 @@ def run_modification_demo_unbounded(
     graph = RegionGraph(region)
     b2, b3, b1 = box.ball(2), box.outer, box.ball(1)
     b2_edges = graph.edges_within(b2)
-    nu_N = max(estimate_nu(spec, len(b2_edges), derive_seed(seed, "nu", N)), m_cap * cube_pat.region.edge_count() + 2.0)
+    nu_N = max(nu_level(spec, len(b2_edges)), m_cap * cube_pat.region.edge_count() + 2.0)
     rho = spec.rho
     zero = (0,) * d
     out: list[DemoInstance] = []
@@ -404,6 +402,7 @@ def run_modification_demo_unbounded(
         acceptance_rate=len(out) / attempts if attempts else 0.0,
         all_clauses_passed=all(i.all_passed for i in out) if out else False,
         total_clause_failures=sum(i.clause_failures for i in out),
+        nu_N=nu_N,
     )
     return out, summary
 

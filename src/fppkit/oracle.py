@@ -295,7 +295,9 @@ def derive_seed_scalars(master: int, *parts: int | str) -> int:
 
 
 def estimate_nu_per_trial(spec, n_edges: int, seed: int, trials: int = 400, q: float = 0.99) -> float:
-    """renormalization.estimate_nu drawn and summed one trial at a time."""
+    """Empirical q-quantile of `trials` sums of n_edges i.i.d. weights, each
+    trial drawn and summed on its own: the Monte Carlo check of the level
+    renormalization.nu_level certifies."""
     totals = np.empty(trials)
     idx = np.arange(n_edges, dtype=np.uint64)
     for k in range(trials):

@@ -27,8 +27,8 @@ from .lattice import (
     vscale,
 )
 from .patterns import OrientedPattern, Pattern, hits_inside
-from .rng import _mix64_inplace, derive_seed
-from .tolerance import INPUT_ATOL, agree, at_least, le, lt
+from .rng import derive_seed
+from .tolerance import INPUT_ATOL, LOG_THETA_XTOL, agree, at_least, le, lt
 
 
 @dataclass(frozen=True)
@@ -173,44 +173,57 @@ def _pattern_cap(spec: DistributionSpec, pattern: Pattern) -> float:
     return max(spec.low_representative(lo, hi) for lo, hi, _ in pattern.event.intervals)
 
 
-# A block of nu(N) draws holds at most this many uniforms: whole trials
-# while one fits, else a slice of one trial.  That is 128 KiB per uint64
-# or float64 temporary, well inside a 4 MiB L2.  At 2,304 edges, blocks
-# of 2^14 to 2^16 ran alike, 2^17 and 2^18 about 1.8x slower, and one
-# trial per block 2x slower.
-NU_BLOCK = 1 << 14
-_NU_SALT = np.uint64(0xA5A5A5A5A5A5A5A5)
+# golden-section ratio and the width of nu_level's log-theta bracket: the
+# optimal theta moves by about 16 in log theta from n = 1 to n = 10^15, and
+# an optimum outside the bracket would still leave a certified, looser level
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_THETA_SPAN = 60.0
 
 
-def estimate_nu(
-    spec: DistributionSpec, n_edges: int, seed: int, trials: int = 400, q: float = 0.99
-) -> float:
-    """Empirical q-quantile of the total weight of n_edges i.i.d. edges.
+def nu_level(spec: DistributionSpec, n_edges: int, q: float = 0.99) -> float:
+    """Cramer-Chernoff level nu with P(sum of n_edges i.i.d. weights >= nu) <= 1 - q.
 
-    nu(N) is the smallest level whose exceedance rate is below 1 - q; all
-    downstream uses only need the exceedance to vanish as N grows.  Trial k
-    draws edge i's uniform from the hash of (derive_seed(seed, "nu", k), i).
-    Draws are made NU_BLOCK uniforms at a time into one row per trial, and
-    each row is summed on its own, so a total is bit for bit that of the
-    trial drawn and summed alone (oracle.estimate_nu_per_trial).
+    For theta > 0, P(S >= l) <= exp(n Lambda(theta) - theta l), so every
+    theta certifies the level (n Lambda(theta) + log(1/(1 - q))) / theta
+    (Dembo-Zeitouni, Large Deviations Techniques and Applications, Thm
+    2.2.3).  That level is a convex function over a positive linear one,
+    so quasi-convex in theta and in log theta; a golden-section search on
+    log theta finds its infimum, and the value returned is the level at an
+    evaluated theta, never an interpolation.  A bounded law's sum never
+    reaches past n t_max, so the level is capped at the next float above.
     """
-    idx = np.arange(n_edges, dtype=np.uint64)
-    per_block = max(1, NU_BLOCK // max(n_edges, 1))
-    totals = np.empty(trials)
-    for start in range(0, trials, per_block):
-        ks = range(start, min(start + per_block, trials))
-        base = np.array([derive_seed(seed, "nu", k) for k in ks], dtype=np.uint64)[:, None]
-        draws = np.empty((len(ks), n_edges))
-        for lo in range(0, n_edges, NU_BLOCK):
-            cols = slice(lo, lo + NU_BLOCK)
-            h = _mix64_inplace(base ^ idx[cols])
-            h ^= _NU_SALT
-            u = (_mix64_inplace(h) >> np.uint64(11)).astype(np.float64)
-            u += 0.5
-            u *= 2.0**-53
-            draws[:, cols] = spec.ppf(u)
-        totals[ks.start : ks.stop] = draws.sum(axis=1)
-    return float(np.quantile(totals, q))
+    if n_edges < 1 or not 0.0 < q < 1.0:
+        raise ValueError("nu_level needs n_edges >= 1 and 0 < q < 1")
+    c = -math.log1p(-q)
+
+    def level(t: float) -> float:
+        theta = math.exp(t)
+        return (n_edges * spec.log_mgf(theta) + c) / theta
+
+    rate = min((r for _, r, _ in spec.exp_tails), default=math.inf)
+    if math.isfinite(rate):  # Lambda diverges at the smallest tail rate
+        hi = math.log(rate)
+        lo = hi - _LOG_THETA_SPAN
+    elif spec.t_max > 0:  # theta in units of 1 / t_max
+        lo = -math.log(spec.t_max) - _LOG_THETA_SPAN / 2
+        hi = lo + _LOG_THETA_SPAN
+    else:  # the law is the atom at 0
+        return math.nextafter(0.0, math.inf)
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f1, f2 = level(x1), level(x2)
+    while hi - lo > LOG_THETA_XTOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = level(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = level(x2)
+    nu = min(f1, f2)
+    if spec.is_bounded:
+        nu = min(nu, math.nextafter(n_edges * spec.t_max, math.inf))
+    return nu
 
 
 def derive_constants(
@@ -222,7 +235,6 @@ def derive_constants(
     c_mu: float = 1.0,
     C_mu: float = 1.0,
     N_list: tuple[int, ...] = (),
-    seed: int = 0,
 ) -> ConstantsSet:
     """Admissible constants for the chosen regime.
 
@@ -230,9 +242,9 @@ def derive_constants(
     the (conservative) pattern bounds m/tau; strict upper bounds are
     halved, strict real lower bounds exceeded by a 1% margin.  delta and
     alpha are calibration inputs (see the calibrate experiment).  In the
-    unbounded regime nu(N) is estimated only for the scales in N_list
-    (the derived B2 can be enormous; desk-scale callers pass their own
-    radii overrides and nu levels).
+    unbounded regime nu(N) is the Chernoff level nu_level of the derived
+    B2's edge count, set only for the scales in N_list (desk-scale callers
+    pass their own radii overrides and nu levels).
     """
     if delta <= 0 or (regime == "bounded" and (alpha is None or alpha <= 0)):
         raise ValueError("delta (and alpha in the bounded regime) must be positive")
@@ -263,7 +275,7 @@ def derive_constants(
         nu = {}
         for N in N_list:
             n_edges = L1Ball((0,) * d, r2 * N).edge_count()
-            nu[N] = max(estimate_nu(spec, n_edges, derive_seed(seed, "nuN", N)), m_pat + 1.0)
+            nu[N] = max(nu_level(spec, n_edges), m_pat + 1.0)
         return replace(cs, nu_of_N=nu)
     # bounded regime
     if not spec.is_bounded:

@@ -28,10 +28,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _M1, _M2 = int(_MIX1), int(_MIX2)  # the same multipliers for Python-int words
 
 
-def _mix64(x: np.ndarray | np.uint64) -> np.ndarray:
-    return _mix64_inplace(np.asarray(x, dtype=np.uint64).copy())
-
-
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer applied to a uint64 array in place."""
     x ^= x >> np.uint64(30)
@@ -69,17 +65,23 @@ def pack_edge_keys(coords: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np
 
 def edge_uniforms(seed: int, key_lo: np.ndarray, key_hi: np.ndarray, draw: int = 0) -> np.ndarray:
     """Uniform(0,1) variate for each edge stream, draw index ``draw``."""
-    key_lo = np.asarray(key_lo, dtype=np.uint64)
-    key_hi = np.asarray(key_hi, dtype=np.uint64)
     seed_word = np.uint64(operator.index(seed) & _MASK) ^ _GOLDEN
-    h = _mix64(seed_word ^ key_lo)
-    h = _mix64(h ^ key_hi ^ (_GOLDEN * np.uint64(draw + 1)))
-    h = _mix64(h)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    # one working array, mixed, shifted and scaled in place
+    h = np.array(key_lo, dtype=np.uint64)
+    h ^= seed_word
+    _mix64_inplace(h)
+    h ^= np.asarray(key_hi, dtype=np.uint64)
+    h ^= np.uint64(int(_GOLDEN) * (operator.index(draw) + 1) & _MASK)
+    _mix64_inplace(_mix64_inplace(h))
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _mix64_int(x: int) -> int:
-    """_mix64 of one word held as a Python int below 2**64."""
+    """_mix64_inplace of one word held as a Python int below 2**64."""
     x ^= x >> 30
     x = (x * _M1) & _MASK
     x ^= x >> 27

@@ -20,6 +20,9 @@ ATOM_ATOL = 1e-12
 WALL_LEVEL = 1e-9
 # identities on inputs and derived constants: probabilities sum to 1, atom sums agree
 INPUT_ATOL = 1e-12
+# width in log theta at which nu_level's golden-section search stops: the level is flat at its infimum,
+# so it ends within about this squared, relatively, and every evaluated theta certifies its own level
+LOG_THETA_XTOL = 1e-9
 
 
 def close(a, b):

@@ -1,8 +1,13 @@
+import ast
+
 import pytest
 
 from fppkit.cli import main
 from fppkit.config import parse_config, read_csv, spec_from_config, write_csv
+from fppkit.distributions import DistributionSpec
 from fppkit.geodesics import GeodesicDag
+from fppkit.lattice import L1Ball
+from fppkit.renormalization import nu_level
 
 
 def test_parse_config():
@@ -123,7 +128,12 @@ def test_cli_calibrate(tmp_path, capsys):
     assert "delta" in text and "alpha" in text
 
 
-def test_cli_modify_demo(tmp_path):
+def _header(path) -> str:
+    with open(path) as fh:
+        return fh.readline()
+
+
+def test_cli_modify_demo(tmp_path, capsys):
     cfg = _write(
         tmp_path,
         """
@@ -143,6 +153,11 @@ def test_cli_modify_demo(tmp_path):
     with open(out + ".reports.txt") as fh:
         text = fh.read()
     assert "rerouting wins" in text and "takes the pattern inside B2" in text
+    assert _header(out) == "# fppkit schema=modify_demo v2\n"
+    # the summary reports nu(N): the Chernoff level of B2's 2,304 edges (radius r2 N = 24)
+    summary = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
+    spec = DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),))
+    assert summary["nu_N"] == nu_level(spec, L1Ball((0, 0), 24).edge_count())
 
 
 def test_cli_jobs_deterministic_merge(tmp_path):
@@ -186,6 +201,9 @@ def test_cli_large_edges_and_typical_rate(tmp_path):
     assert main(["typical-rate", "--config", cfg, "--out", str(tmp_path / "tr.csv")]) == 0
     rows = read_csv(str(tmp_path / "tr.csv"))
     assert {"clause1", "clause2", "clause3", "typical"} <= set(rows[0])
+    # typical-rate rows moved with nu(N); large-edges rows did not
+    assert _header(tmp_path / "tr.csv") == "# fppkit schema=typical_rate v2\n"
+    assert _header(tmp_path / "le.csv") == "# fppkit schema=large_edges v1\n"
 
 
 def test_zero_atom_one_edge_rows_enumerate_without_the_extremal_walk(tmp_path, monkeypatch):

@@ -22,6 +22,33 @@ HALF_HALF_14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))
 HALF_HALF_12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 
 
+MGF_LAWS = [
+    (HALF_HALF_12, (-1.0, 0.05, 1.0, 5.0, 40.0)),
+    (DistributionSpec(uniforms=((0.5, 3.0, 1.0),)), (-2.0, 0.01, 1.0, 20.0)),
+    (DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),)), (0.3, 35.0)),
+    (DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),)), (-0.3, 0.05, 0.2, 0.25)),
+    (DistributionSpec(atoms=((0.0, 0.1),), uniforms=((0.5, 1.5, 0.4),), exp_tails=((2.0, 2.0, 0.5),)), (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("law", range(len(MGF_LAWS)))
+def test_log_mgf_matches_quadrature_over_the_quantile_function(law):
+    # E exp(theta T) = int_0^1 exp(theta ppf(u)) du, midpoint rule on
+    # u = 1 - v^4, which tames an exponential tail's singularity at u = 1
+    spec, thetas = MGF_LAWS[law]
+    k = 1 << 20
+    v = (np.arange(k) + 0.5) / k
+    x, w = spec.ppf(1.0 - v**4), 4.0 * v**3 / k
+    for theta in thetas:
+        top = theta * x.max()
+        quad = top + math.log(float(np.sum(np.exp(theta * x - top) * w)))
+        assert spec.log_mgf(theta) == pytest.approx(quad, abs=1e-3), theta
+    assert spec.log_mgf(0.0) == pytest.approx(0.0, abs=1e-12)
+    rates = [r for _, r, _ in spec.exp_tails]
+    if rates:
+        assert spec.log_mgf(min(rates)) == math.inf
+
+
 def test_spec_support():
     assert HALF_HALF_14.rho == 1.0
     assert HALF_HALF_14.t_max == 4.0

@@ -54,7 +54,7 @@ from fppkit.lattice import (
     unit,
     vadd,
 )
-from fppkit.oracle import derive_seed_scalars, region_edges, region_vertices
+from fppkit.oracle import _splitmix64, derive_seed_scalars, region_edges, region_vertices
 from fppkit.patterns import condition_holds, heavy_edge_pattern, two_route_pattern_unbounded
 from fppkit.rng import derive_seed, edge_uniforms, pack_edge_keys
 
@@ -497,6 +497,24 @@ TAGS = st.one_of(st.text(), st.sampled_from(["", "nu", "\x00", "naïve", "ν(N) 
 @example(2**64 + 3, [-1, 2**64, 2**64 - 1, "", "ν"])
 def test_derive_seed_matches_the_numpy_scalar_chain(master, parts):
     assert derive_seed(master, *parts) == derive_seed_scalars(master, *parts)
+
+
+KEY_WORDS = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WORDS, st.integers(0, 2**62), st.lists(st.tuples(KEY_WORDS, KEY_WORDS), min_size=1, max_size=40))
+@example(0, 0, [(0, 0)])
+@example(-1, 2**62, [(2**64 - 1, 2**64 - 1), (1, 2)])
+def test_edge_uniforms_match_the_splitmix64_chain(seed, draw, keys):
+    # the stream definition, one copying splitmix64 step at a time
+    lo, hi = (np.array(col, dtype=np.uint64) for col in zip(*keys))
+    golden = 0x9E3779B97F4A7C15
+    h = _splitmix64(lo ^ np.uint64((seed % 2**64) ^ golden))
+    h = _splitmix64(h ^ hi ^ np.uint64(golden * (draw + 1) % 2**64))
+    h = _splitmix64(h)
+    want = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert edge_uniforms(seed, lo, hi, draw).tobytes() == want.tobytes()
 
 
 def test_derive_seed_and_edge_uniforms_take_numpy_integers_as_their_value():

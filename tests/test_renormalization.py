@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from itertools import product
@@ -14,14 +15,13 @@ from fppkit.lattice import L1Ball, LatticePath, ProductBox, direction_order, l1,
 from fppkit.oracle import estimate_nu_per_trial, heap_dijkstra, region_edges
 from fppkit.patterns import heavy_edge_pattern, atom_square_pattern
 from fppkit.renormalization import (
-    NU_BLOCK,
     BoxScale,
     box_in_annulus,
     crosses,
     derive_constants,
-    estimate_nu,
     m_sequence,
     meta_cube_animal,
+    nu_level,
     successful_box_check,
     typicality_bounded,
     typicality_unbounded,
@@ -67,8 +67,10 @@ def test_derive_constants_unbounded_inequalities():
     from fppkit.patterns import enlarge_to_cube
 
     cube = enlarge_to_cube(pat, m_cap=4.0)
-    cs = derive_constants("unbounded", spec, cube, delta=0.5, c_mu=1.0, C_mu=2.0, seed=1)
+    cs = derive_constants("unbounded", spec, cube, delta=0.5, c_mu=1.0, C_mu=2.0, N_list=(1, 3))
     assert cs.r1 == 2
+    for N, nu in cs.nu_of_N.items():
+        assert nu == max(nu_level(spec, L1Ball((0, 0), cs.r2 * N).edge_count()), cs.m_pattern + 1.0)
     for name, ok in cs.verify():
         assert ok, name
     assert cs.r_annulus == 2 * (cs.r1 + cs.r3 + 1)
@@ -302,7 +304,7 @@ def test_bad_typicality_settings_fail_loudly():
 
 
 def test_estimate_nu_quantile():
-    nu = estimate_nu(ATOMS12, 100, seed=4, trials=300)
+    nu = estimate_nu_per_trial(ATOMS12, 100, seed=4, trials=300)
     assert 100.0 <= nu <= 200.0  # between all-1 and all-2 sums
 
 
@@ -313,15 +315,55 @@ NU_LAWS = {
 }
 
 
-@pytest.mark.parametrize("n_edges", [1, 7, 2304, NU_BLOCK + 1, 3 * NU_BLOCK + 5])
+@pytest.mark.parametrize("n_edges", [1, 7, 2304])
 @pytest.mark.parametrize("law", NU_LAWS)
-def test_estimate_nu_equals_the_per_trial_reference(law, n_edges):
-    # blocks of several trials with a short last block, then each trial
-    # drawn in slices with a short last slice
+def test_nu_level_bounds_the_per_trial_estimate(law, n_edges):
+    # the Monte Carlo 0.99-quantile of 400 sums lies below the certified level
     spec = NU_LAWS[law]
-    for trials, q in product((1, 3, 400), (0.5, 0.99)):
-        seed = derive_seed(16, law, n_edges, trials)
-        assert estimate_nu(spec, n_edges, seed, trials, q) == estimate_nu_per_trial(spec, n_edges, seed, trials, q)
+    assert estimate_nu_per_trial(spec, n_edges, derive_seed(20, law, n_edges)) <= nu_level(spec, n_edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
+def test_nu_level_bounds_the_exact_binomial_tail(n):
+    # atoms {1, 2}: S = n + Binomial(n, 1/2), so P(S >= nu) is a finite sum
+    nu = nu_level(ATOMS12, n)
+    tail = sum(math.comb(n, k) for k in range(n + 1) if n + k >= nu) / 2**n
+    assert tail <= 0.01
+    # Hoeffding's level bounds the same MGF less tightly
+    assert n * 1.5 < nu <= min(1.5 * n + math.sqrt(n * math.log(100) / 2), math.nextafter(2.0 * n, math.inf))
+
+
+def test_nu_level_closed_form_tail_at_one_edge():
+    exp_law = NU_LAWS["atom+exp"]  # P(T >= t) = 0.95 exp(-(t - 3) / 2) for t > 3
+    for q in (0.5, 0.9, 0.99, 0.999):
+        nu = nu_level(exp_law, 1, q)
+        assert nu > 3.0 and 0.95 * math.exp(-0.5 * (nu - 3.0)) <= 1.0 - q
+    uniform = DistributionSpec(uniforms=((1.0, 2.0, 1.0),))  # P(T >= t) = 2 - t on [1, 2]
+    for q in (0.5, 0.9, 0.99):
+        nu = nu_level(uniform, 1, q)
+        assert 1.0 < nu and max(0.0, 2.0 - nu) <= 1.0 - q
+    # a uniform top piece lets the level sit below t_max
+    mixed = nu_level(NU_LAWS["atoms+uniform"], 1)
+    assert 1.0 < mixed < 2.0 and 0.5 * (2.0 - mixed) <= 0.01
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 3.0])
+def test_nu_level_single_atom_lies_above_the_sum(a):
+    spec = DistributionSpec(atoms=((a, 1.0),))
+    for n in (1, 7, 2304):
+        nu = nu_level(spec, n)
+        assert n * a < nu == math.nextafter(n * a, math.inf)
+
+
+def test_nu_level_on_the_modify_demo_law():
+    # figures of the closed form at the demo's B2 and at the derived r2 = 368
+    spec = NU_LAWS["atom+exp"]
+    assert nu_level(spec, 2304) == pytest.approx(11375.3, abs=0.05)
+    assert nu_level(spec, L1Ball((0, 0), 368 * 2).edge_count()) == pytest.approx(10410108, abs=1)
+    assert nu_level(spec, 2304, 0.999) > nu_level(spec, 2304) > nu_level(spec, 2304, 0.9)
+    for n, q in ((0, 0.99), (5, 0.0), (5, 1.0)):
+        with pytest.raises(ValueError):
+            nu_level(spec, n, q)
 
 
 def test_m_sequence_invariants_random_maps():
