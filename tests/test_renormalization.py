@@ -27,7 +27,7 @@ from fppkit.renormalization import (
     typicality_unbounded,
 )
 from fppkit.renormalization import _pair_sources, _witness_path
-from fppkit.rng import derive_seed
+from fppkit.rng import _mix64_int, derive_seed
 from fppkit.tolerance import at_least, le, lt
 
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
@@ -313,6 +313,30 @@ NU_LAWS = {
     "atom+exp": DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),)),
     "atoms+uniform": DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),)),
 }
+
+
+def _nu_totals_on_python_ints(spec, n_edges, seed, trials):
+    """The sums estimate_nu_per_trial draws, with each uniform hashed on
+    Python ints: edge i of trial k takes mix(mix(seed_k ^ i) ^ salt)."""
+    totals = []
+    for k in range(trials):
+        base = derive_seed(seed, "nu", k)
+        words = (_mix64_int(_mix64_int(base ^ i) ^ 0xA5A5A5A5A5A5A5A5) for i in range(n_edges))
+        u = np.array([((h >> 11) + 0.5) * 2.0**-53 for h in words])
+        totals.append(spec.ppf(u).sum())
+    return np.array(totals)
+
+
+@pytest.mark.parametrize("n_edges", [1, 7, 2304, 16385, 49157])
+@pytest.mark.parametrize("law", NU_LAWS)
+def test_estimate_nu_equals_the_per_trial_reference(law, n_edges):
+    # the one Monte Carlo estimator of nu(N), on numpy uint64 arrays, against
+    # the same draws hashed word by word; n_edges spans one to 3 * 2^14 + 5
+    spec = NU_LAWS[law]
+    seed = derive_seed(16, law, n_edges)
+    totals = _nu_totals_on_python_ints(spec, n_edges, seed, 3)
+    for trials, q in product((1, 3), (0.5, 0.99)):
+        assert estimate_nu_per_trial(spec, n_edges, seed, trials, q) == float(np.quantile(totals[:trials], q))
 
 
 @pytest.mark.parametrize("n_edges", [1, 7, 2304])
