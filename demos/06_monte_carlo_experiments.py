@@ -27,5 +27,5 @@ rows = run_gap(spec, 4, 2, 1.0, 2.0, [20, 30], 100, seed=6)
 print("median length gap by n:", summarize_gap(rows)["median_gap"])
 
 # Per-realization shift bound t^(-b) <= t - b Lmax
-rows = run_shift_concavity(spec, [0.1, 0.5, 0.9], 30, 100, seed=7)
+rows = run_shift_concavity(spec, [0.1, 0.5, 0.9], [30], 100, seed=7)
 print("shift bound held in", sum(r["holds"] for r in rows), "of", len(rows), "rows")

@@ -15,10 +15,8 @@ from .geodesics import (
     Disconnected,
     GeodesicDag,
     GeodesicSet,
-    NormEstimate,
     RegionGraph,
     enumerate_geodesics,
-    estimate_time_constant,
     exact_norm_oracle,
     extreme_length_geodesics,
     first_lex_geodesic,
@@ -73,6 +71,7 @@ from .renormalization import (
     typicality_bounded,
     typicality_unbounded,
 )
+from .experiments import NormEstimate, estimate_time_constant
 from .modification import (
     PlanError,
     build_plan_bounded,

@@ -103,12 +103,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--trials", type=int, default=None)
     ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers over the n grid of deficiency, gap and "
-                         "large-edges (deterministic merge)")
+                    help="parallel workers over the n grid of deficiency, gap, "
+                         "large-edges and shift (deterministic merge)")
     args = ap.parse_args(argv)
-    if args.jobs > 1 and args.experiment not in ("deficiency", "gap", "large-edges"):
+    if args.jobs > 1 and args.experiment not in ("deficiency", "gap", "large-edges", "shift"):
         ap.error(f"{args.experiment} runs in one process; --jobs {args.jobs} is honoured "
-                 "only by deficiency, gap and large-edges")
+                 "only by deficiency, gap, large-edges and shift")
 
     cfg = load_config(args.config)
     spec = spec_from_config(cfg)
@@ -161,7 +161,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "shift":
         b_list = [float(b) for b in cfg.get("b_list", [0.1])]
-        rows = X.run_shift_concavity(spec, b_list, n_list[0], trials, seed, d)
+        rows = _parallel_over_n(
+            X.run_shift_concavity, n_list, args.jobs, spec, b_list,
+            trials=trials, seed=seed, d=d,
+        )
         write_csv(args.out, rows, "shift")
         holds = sum(r["holds"] for r in rows)
         print(f"per-realization bound held in {holds}/{len(rows)} rows")

@@ -13,7 +13,9 @@ keys:
                    two_route_bounded | shift_concavity (plus short aliases,
                    see fppkit.cli.PATTERN_BUILDERS)
     pattern_params {dict literal} forwarded to the builder
-    n_list         [n, ...]
+    n_list         [n, ...]      every per-n experiment (deficiency,
+                                 large-edges, gap, shift, shape) runs
+                                 each n (default [10, 20])
     trials         int
     seed           64-bit master seed
     cap            geodesic enumeration cap (only where rows or clauses

@@ -4,25 +4,22 @@ Every row is a pure function of (config, master seed, n, trial index); the
 per-trial seed is derived from those alone, so runs are reproducible and
 trials can execute in any order or in parallel.  Summaries are recomputed
 from the raw rows.
+
+The point-to-point experiments (deficiency, large edges, gap, shift,
+calibration, the time constant) draw their trials from one runner,
+`trial_dags`; segment boxes along e1 are padded by `segment_pad`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .fields import WeightField
-from .geodesics import (
-    GeodesicDag,
-    NormEstimate,
-    RegionGraph,
-    dijkstra,
-    estimate_time_constant,
-    first_lex_geodesic,
-)
+from .geodesics import GeodesicDag, RegionGraph, dijkstra, first_lex_geodesic
 from .lattice import LatticePath, ProductBox, Vertex, l1, vscale
 from .modification import (
     PlanError,
@@ -45,11 +42,32 @@ from .rng import derive_seed
 from .tolerance import at_least, le
 
 
-def segment_region(n: int, d: int, pad: int) -> ProductBox:
-    """Box around the segment 0 -> n e1 with the given l-inf padding."""
-    lo = (-pad,) * d
-    hi = (n + pad,) + (pad,) * (d - 1)
-    return ProductBox(lo, hi)
+def segment_pad(n: int) -> int:
+    """The l-inf pad of the box around the segment 0 -> n e1."""
+    return max(6, n // 3)
+
+
+def segment_region(y: Vertex, pad: int) -> ProductBox:
+    """Box around the segment 0 -> y with the given l-inf padding."""
+    return ProductBox(tuple(min(0, c) - pad for c in y), tuple(max(0, c) + pad for c in y))
+
+
+def _segment_ends(n_list: list[int], d: int) -> list[tuple[int, Vertex, int]]:
+    """(n, n e1, segment_pad(n)) per n, the ends of trial_dags."""
+    return [(n, (n,) + (0,) * (d - 1), segment_pad(n)) for n in n_list]
+
+
+def trial_dags(spec: DistributionSpec, ends, trials: int, seed_of):
+    """Yield (n, k, seed, dag) for each (n, y, pad) in ends and each trial k
+    in range(trials): seed = seed_of(n, k), and dag is the tight DAG from 0
+    to y of that seed's weights on the box around 0 and y padded by pad.
+    One RegionGraph serves every trial of an end."""
+    for n, y, pad in ends:
+        graph = RegionGraph(segment_region(y, pad))
+        x = (0,) * len(y)
+        for k in range(trials):
+            s = seed_of(n, k)
+            yield n, k, s, GeodesicDag.between(graph, graph.sample_weights(spec, s), x, y)
 
 
 def _geodesic_panel(dag: GeodesicDag, cap: int) -> tuple[list[LatticePath], bool]:
@@ -59,21 +77,18 @@ def _geodesic_panel(dag: GeodesicDag, cap: int) -> tuple[list[LatticePath], bool
     return list(dict.fromkeys([*gs.paths, ext.witness_min, ext.witness_max])), gs.truncated
 
 
-def _min_count_row(
-    f: WeightField, x: Vertex, y: Vertex, cap: int, cost: np.ndarray | None, count_of
-) -> dict:
+def _min_count_row(dag: GeodesicDag, cap: int, cost: np.ndarray | None, count_of) -> dict:
     """min_count, truncated and n_geodesics of a row: the least count_of(g)
-    over the geodesics g from x to y, their number, and whether the
-    enumeration was cut.
+    over the geodesics g of dag, their number, and whether the enumeration
+    was cut.
 
     A count that sums a 0/1 cost per edge (cost not None) is minimised over
-    every geodesic by one search on the tight arcs from x, and count_of
+    every geodesic by one search on the tight arcs from the source, and count_of
     must give its witness the same count.  n_geodesics is then the exact
     path count with truncated 0, unless zero-weight cycles leave no count:
     then those two fields come from the geodesics enumerated up to cap.
     Any other count is minimised over that enumeration plus both
     extremal-length witnesses (_geodesic_panel)."""
-    dag = GeodesicDag.between(f.graph, f.w, x, y)
     if cost is None:
         paths, truncated = _geodesic_panel(dag, cap)
         min_count = min(count_of(g) for g in paths)
@@ -88,6 +103,22 @@ def _min_count_row(
     return dict(min_count=min_count, truncated=int(gs.truncated), n_geodesics=len(gs.paths))
 
 
+def _min_count_rows(
+    experiment: str, spec: DistributionSpec, n_list: list[int], trials: int, seed: int,
+    d: int, cap: int, cost_of, count_of,
+) -> list[dict]:
+    """Rows of _min_count_row on the segments 0 -> n e1, with the 0/1 edge
+    cost cost_of(f) (or None) and the path count count_of(g, f) of each
+    trial's field f; the seed part is the experiment name."""
+    rows = []
+    ends = _segment_ends(n_list, d)
+    for n, k, s, dag in trial_dags(spec, ends, trials, partial(derive_seed, seed, experiment)):
+        f = dag.graph.field_from(dag.weights)
+        counts = _min_count_row(dag, cap, cost_of(f), lambda g: count_of(g, f))
+        rows.append(dict(experiment=experiment, n=n, trial=k, seed=s, **counts))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Experiment drivers (each returns a list of row dicts)
 
@@ -100,24 +131,14 @@ def run_deficiency(
     seed: int,
     d: int = 2,
     cap: int = 128,
-    pad: int | None = None,
 ) -> list[dict]:
     """min over geodesics 0 -> n e1 of the occurrence count N^P: exact over
     every geodesic for a one-edge pattern, over at most cap enumerated
     geodesics otherwise (see _min_count_row)."""
-    rows = []
-    for n in n_list:
-        region = segment_region(n, d, pad if pad is not None else max(6, n // 3))
-        graph = RegionGraph(region)
-        x, y = (0,) * d, (n,) + (0,) * (d - 1)
-        for k in range(trials):
-            s = derive_seed(seed, "deficiency", n, k)
-            f = graph.field_from(graph.sample_weights(spec, s))
-            counts = _min_count_row(
-                f, x, y, cap, pattern.edge_cost(f), lambda g: count_occurrences(g, pattern, f)
-            )
-            rows.append(dict(experiment="deficiency", n=n, trial=k, seed=s, **counts))
-    return rows
+    return _min_count_rows(
+        "deficiency", spec, n_list, trials, seed, d, cap,
+        pattern.edge_cost, lambda g, f: count_occurrences(g, pattern, f),
+    )
 
 
 def summarize_deficiency(rows: list[dict]) -> dict:
@@ -144,19 +165,10 @@ def run_large_edges(
     >= M (see _min_count_row)."""
     if spec.mass_in(M, math.inf) <= 0:
         raise ValueError(f"M={M} is above the support")
-    rows = []
-    for n in n_list:
-        region = segment_region(n, d, max(6, n // 3))
-        graph = RegionGraph(region)
-        x, y = (0,) * d, (n,) + (0,) * (d - 1)
-        for k in range(trials):
-            s = derive_seed(seed, "large_edges", n, k)
-            f = graph.field_from(graph.sample_weights(spec, s))
-            counts = _min_count_row(
-                f, x, y, cap, at_least(f.w, M), lambda g: int(at_least(f.times_at(g.edges()), M).sum())
-            )
-            rows.append(dict(experiment="large_edges", n=n, trial=k, seed=s, **counts))
-    return rows
+    return _min_count_rows(
+        "large_edges", spec, n_list, trials, seed, d, cap,
+        lambda f: at_least(f.w, M), lambda g, f: int(at_least(f.times_at(g.edges()), M).sum()),
+    )
 
 
 def run_gap(
@@ -183,18 +195,13 @@ def run_gap(
         if (k_param + 2 * l_param) * r_atom != k_param * s_atom and spec.mass_at(0.0) <= 0:
             raise ValueError("(k+2l) r != k s and no atom at zero")
     rows = []
-    for n in n_list:
-        region = segment_region(n, d, max(6, n // 3))
-        graph = RegionGraph(region)
-        x, y = (0,) * d, (n,) + (0,) * (d - 1)
-        for kk in range(trials):
-            s = derive_seed(seed, "gap", n, kk)
-            w = graph.sample_weights(spec, s)
-            ext = GeodesicDag.between(graph, w, x, y).extremes()
-            rows.append(
-                dict(experiment="gap", n=n, trial=kk, seed=s, lmin=ext.lmin,
-                     lmax=ext.lmax, gap=ext.gap, approx=int(not ext.exact))
-            )
+    ends = _segment_ends(n_list, d)
+    for n, k, s, dag in trial_dags(spec, ends, trials, partial(derive_seed, seed, "gap")):
+        ext = dag.extremes()
+        rows.append(
+            dict(experiment="gap", n=n, trial=k, seed=s, lmin=ext.lmin,
+                 lmax=ext.lmax, gap=ext.gap, approx=int(not ext.exact))
+        )
     return rows
 
 
@@ -212,7 +219,7 @@ def summarize_gap(rows: list[dict]) -> dict:
 def run_shift_concavity(
     spec: DistributionSpec,
     b_list: list[float],
-    n: int,
+    n_list: list[int],
     trials: int,
     seed: int,
     d: int = 2,
@@ -227,17 +234,14 @@ def run_shift_concavity(
     for b in b_list:
         if not 0 <= b < rho:
             raise ValueError(f"shift b={b} outside [0, rho={rho})")
-    region = segment_region(n, d, max(6, n // 3))
-    graph = RegionGraph(region)
-    x, y = (0,) * d, (n,) + (0,) * (d - 1)
     rows = []
-    for k in range(trials):
-        s = derive_seed(seed, "shift", n, k)
-        w = graph.sample_weights(spec, s)
-        dag = GeodesicDag.between(graph, w, x, y)
+    ends = _segment_ends(n_list, d)
+    for n, k, s, dag in trial_dags(spec, ends, trials, partial(derive_seed, seed, "shift")):
+        graph, w = dag.graph, dag.weights
+        xi, yi = graph.vindex[dag.source], graph.vindex[dag.target]
         t0, ext = dag.time, dag.extremes()
         for b in b_list:
-            tb = float(dijkstra(graph, w - b, graph.vindex[x])[graph.vindex[y]])
+            tb = float(dijkstra(graph, w - b, xi)[yi])
             bound = t0 - b * ext.lmax
             rows.append(
                 dict(experiment="shift", n=n, trial=k, seed=s, b=b, t=t0,
@@ -245,6 +249,51 @@ def run_shift_concavity(
                      holds=int(le(tb, bound)), approx=int(not ext.exact))
             )
     return rows
+
+
+@dataclass
+class NormEstimate:
+    """Monte Carlo estimate of the time constant per sampled direction."""
+
+    per_direction: dict[Vertex, list[tuple[int, float, float]]]  # n, mean, half-CI
+    c_mu: float
+    C_mu: float
+    trials: int
+
+    def rate(self, direction: Vertex) -> float:
+        rows = self.per_direction[tuple(direction)]
+        n, mean, _ = rows[-1]
+        return mean / l1(direction)
+
+
+def estimate_time_constant(
+    directions: list[Vertex] | Vertex,
+    spec: DistributionSpec,
+    n_list: list[int],
+    trials: int,
+    seed: int,
+) -> NormEstimate:
+    """Monte Carlo t(0, n u)/n per direction and n, with normal-CI half-widths.
+
+    Times are restricted to a box around the segment 0 -> n u, padded by
+    max(4, int(0.4 |n u|_1)), which upper-bounds the free value; the bias
+    vanishes at desk scale for useful specs.
+    """
+    if isinstance(directions, tuple) and directions and isinstance(directions[0], int):
+        directions = [directions]
+    per_direction: dict[Vertex, list[tuple[int, float, float]]] = {}
+    for direction in map(tuple, directions):
+        seed_of = partial(derive_seed, seed, "mu", str(direction))
+        rows = []
+        for n in n_list:
+            y = vscale(n, direction)
+            ends = [(n, y, max(4, int(0.4 * l1(y))))]
+            arr = np.array([dag.time / n for *_, dag in trial_dags(spec, ends, trials, seed_of)])
+            half = 1.96 * arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
+            rows.append((n, float(arr.mean()), float(half)))
+        per_direction[direction] = rows
+    rates = [rows[-1][1] / l1(u) for u, rows in per_direction.items()]
+    return NormEstimate(per_direction, min(rates), max(rates), trials)
 
 
 def run_shape(
@@ -417,13 +466,8 @@ def calibrate_delta(
 ) -> float:
     """Empirical delta with P(t(0, n e1) <= (rho + delta) n) = 0 in-sample:
     a safety fraction of the observed minimum of t/n - rho."""
-    region = segment_region(n, d, max(6, n // 3))
-    graph = RegionGraph(region)
-    x, y = (0,) * d, (n,) + (0,) * (d - 1)
-    vals = []
-    for k in range(trials):
-        w = graph.sample_weights(spec, derive_seed(seed, "caldelta", k))
-        vals.append(dijkstra(graph, w, graph.vindex[x])[graph.vindex[y]] / n)
+    dags = trial_dags(spec, _segment_ends([n], d), trials, lambda _, k: derive_seed(seed, "caldelta", k))
+    vals = [dag.time / n for *_, dag in dags]
     return safety * (min(vals) - spec.rho)
 
 
@@ -438,14 +482,11 @@ def calibrate_alpha(
 ) -> float:
     """Empirical heavy-edge density floor: a safety fraction of the observed
     minimum over trials of (edges >= rho + delta on the first-lex geodesic)/n."""
-    region = segment_region(n, d, max(6, n // 3))
-    graph = RegionGraph(region)
-    x, y = (0,) * d, (n,) + (0,) * (d - 1)
     level = spec.rho + delta
     fracs = []
-    for k in range(trials):
-        w = graph.sample_weights(spec, derive_seed(seed, "calalpha", k))
-        g = GeodesicDag.between(graph, w, x, y).first_lex()
-        heavy = int(at_least(w[graph.edge_ids(g.edges())], level).sum())
-        fracs.append(heavy / l1(x, y))
+    dags = trial_dags(spec, _segment_ends([n], d), trials, lambda _, k: derive_seed(seed, "calalpha", k))
+    for *_, dag in dags:
+        g = dag.first_lex()
+        heavy = int(at_least(dag.weights[dag.graph.edge_ids(g.edges())], level).sum())
+        fracs.append(heavy / n)
     return safety * min(fracs)

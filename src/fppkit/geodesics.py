@@ -37,10 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import DistributionSpec
 from .fields import RegionGraph, WeightField
-from .lattice import LatticePath, ProductBox, Region, Vertex, l1, vscale
-from .rng import derive_seed
+from .lattice import LatticePath, Region, Vertex
 from .tolerance import close
 
 DEFAULT_PATH_CAP = 10_000
@@ -394,21 +392,6 @@ class ExtremalLengths:
         return self.lmax - self.lmin
 
 
-@dataclass
-class NormEstimate:
-    """Monte Carlo estimate of the time constant per sampled direction."""
-
-    per_direction: dict[Vertex, list[tuple[int, float, float]]]  # n, mean, half-CI
-    c_mu: float
-    C_mu: float
-    trials: int
-
-    def rate(self, direction: Vertex) -> float:
-        rows = self.per_direction[tuple(direction)]
-        n, mean, _ = rows[-1]
-        return mean / l1(direction)
-
-
 def _resolve(field: WeightField, region: Region | None, graph: RegionGraph | None):
     """The graph to search (the field's own unless another region is asked
     for) and the field's weights on it."""
@@ -480,46 +463,6 @@ def extreme_length_geodesics(
     the reported maximum is a certified lower bound, flagged inexact.
     """
     return _dag(x, y, f, region, graph).extremes(node_budget)
-
-
-def estimate_time_constant(
-    directions: list[Vertex] | Vertex,
-    spec: DistributionSpec,
-    n_list: list[int],
-    trials: int,
-    seed: int,
-    pad_factor: float = 0.4,
-) -> NormEstimate:
-    """Monte Carlo t(0, n u)/n per direction and n, with normal-CI half-widths.
-
-    Times are restricted to a box around the segment (pad ~ pad_factor * n),
-    which upper-bounds the free value; the bias vanishes at desk scale for
-    useful specs.
-    """
-    if isinstance(directions, tuple) and directions and isinstance(directions[0], int):
-        directions = [directions]
-    per_direction: dict[Vertex, list[tuple[int, float, float]]] = {}
-    for direction in directions:
-        direction = tuple(direction)
-        d = len(direction)
-        rows = []
-        for n in n_list:
-            target = vscale(n, direction)
-            pad = max(4, int(pad_factor * l1(target)))
-            lo = tuple(min(0, c) - pad for c in target)
-            hi = tuple(max(0, c) + pad for c in target)
-            graph = RegionGraph(ProductBox(lo, hi))
-            xi, yi = graph.vindex[(0,) * d], graph.vindex[target]
-            vals = []
-            for k in range(trials):
-                w = graph.sample_weights(spec, derive_seed(seed, "mu", str(direction), n, k))
-                vals.append(dijkstra(graph, w, xi)[yi] / n)
-            arr = np.array(vals)
-            half = 1.96 * arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-            rows.append((n, float(arr.mean()), float(half)))
-        per_direction[direction] = rows
-    rates = [rows[-1][1] / l1(u) for u, rows in per_direction.items()]
-    return NormEstimate(per_direction, min(rates), max(rates), trials)
 
 
 def exact_norm_oracle(a: float):

@@ -175,7 +175,7 @@ def test_criterion_07_gap_growth():
 
 
 def test_criterion_08_shift_bound():
-    rows = run_shift_concavity(ATOMS12, [0.1, 0.5, 0.9], 30, 300, seed=8)
+    rows = run_shift_concavity(ATOMS12, [0.1, 0.5, 0.9], [30], 300, seed=8)
     holds = sum(r["holds"] for r in rows)
     report(8, holds == len(rows), f"t^(-b) <= t - b Lmax held in {holds}/{len(rows)} realizations")
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_cli_shift(tmp_path):
         tmp_path,
         """
         atoms = [(1.0, 0.5), (2.0, 0.5)]
-        n_list = [10]
+        n_list = [8, 10]
         b_list = [0.1, 0.5]
         trials = 4
         seed = 1
@@ -95,7 +96,9 @@ def test_cli_shift(tmp_path):
     out = str(tmp_path / "s.csv")
     assert main(["shift", "--config", cfg, "--out", out]) == 0
     rows = read_csv(out)
-    assert len(rows) == 8
+    # every n of n_list, two b per trial
+    want = [(n, k) for n in (8, 10) for k in range(4) for _ in range(2)]
+    assert [(r["n"], r["trial"]) for r in rows] == want
     assert all(r["holds"] == 1 for r in rows)
 
 
@@ -160,22 +163,74 @@ def test_cli_modify_demo(tmp_path, capsys):
     assert summary["nu_N"] == nu_level(spec, L1Ball((0, 0), 24).edge_count())
 
 
-def test_cli_jobs_deterministic_merge(tmp_path):
+LAWS = {
+    "atoms12": "atoms = [(1.0, 0.5), (2.0, 0.5)]",
+    "zero_atom": "atoms = [(0.0, 0.3), (1.0, 0.4), (2.0, 0.3)]",
+}
+
+
+@pytest.mark.parametrize(
+    "law,experiment",
+    [(law, e) for law in LAWS for e in ("deficiency", "large-edges", "gap", "shift")
+     if (law, e) != ("zero_atom", "shift")],  # shift needs b < rho = 0
+)
+def test_cli_jobs_deterministic_merge(tmp_path, law, experiment):
     cfg = _write(
         tmp_path,
-        """
-        atoms = [(1.0, 0.5), (2.0, 0.5)]
+        LAWS[law] + """
         pattern = av_edge
         pattern_params = {"M": 2.0}
+        M = 2.0
         n_list = [6, 8, 10]
         trials = 4
         seed = 5
         """,
     )
-    seq, par = str(tmp_path / "seq.csv"), str(tmp_path / "par.csv")
-    main(["deficiency", "--config", cfg, "--out", seq, "--jobs", "1"])
-    main(["deficiency", "--config", cfg, "--out", par, "--jobs", "3"])
-    assert read_csv(seq) == read_csv(par)
+    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+    assert main([experiment, "--config", cfg, "--out", str(seq), "--jobs", "1"]) == 0
+    assert main([experiment, "--config", cfg, "--out", str(par), "--jobs", "3"]) == 0
+    assert {r["n"] for r in read_csv(str(seq))} == {6, 8, 10}
+    assert seq.read_bytes() == par.read_bytes()
+
+
+# SHA-256 of each CSV at n_list = [8, 24], 4 trials, seed 5.  The shift
+# digest covers both n; its n = 8 and n = 24 rows are those of one-n runs.
+# At n = 24 the segment pad is n // 3 = 8, above its floor of 6, so the
+# digests pin both terms of the rule.
+GOLDEN = {
+    ("atoms12", "deficiency"): "47aae837eeb7a820d726a49a3c2d4f048c1b340422eefb6a4f8decf7aadd0c4c",
+    ("atoms12", "large-edges"): "0b84c5978fd67d6ebeec64b17a6a36132898bb1280a17e003807bf7882156766",
+    ("atoms12", "gap"): "3cb76448943205a609531cd7d582983b9e5f6cde5ef6bb7110381b0a0f1b7eb0",
+    ("atoms12", "shape"): "bc89801470dbe195fff5d7aca109c23adc549b313c8342b617777674b3557009",
+    ("atoms12", "calibrate"): "698449463240f5f7363092fa9e9382c4e3e23a220ef797196e8eae6496efd1f1",
+    ("atoms12", "shift"): "5547488cd4d31bb1af9516314396cc9ccd7b0e925714d1130e0592aea250f748",
+    ("zero_atom", "deficiency"): "bdf0c7af77f4cbb81c996f7d952cbe57ae4c89580fad4227076f479d9ba89a19",
+    ("zero_atom", "large-edges"): "37df65b63775c02c15e5fc6388ac6246af5d2bca983b9090f15cdfb0bd0984b0",
+    ("zero_atom", "gap"): "f85bee6f44b618ed2986070e4c7a9513bfd81d3b6a4d04b6b80c245d61cb2d49",
+    ("zero_atom", "shape"): "d0c0ff7fadf36d602d17aa24c1d8d3ceb21b08e90a1da66b4ad892a4c1870e91",
+    ("zero_atom", "calibrate"): "5d5bd6d9d5bd199ad29c0007cc2a271181500b3abc8b1940a2103b2b5be3b802",
+}
+
+
+def test_cli_outputs_keep_their_golden_bytes(tmp_path):
+    # the reproducibility contract: a pinned (config, seed) gives the same CSV bytes
+    got = {}
+    for law, experiment in GOLDEN:
+        cfg = _write(
+            tmp_path,
+            LAWS[law] + """
+            pattern = av_edge
+            pattern_params = {"M": 2.0}
+            M = 2.0
+            n_list = [8, 24]
+            trials = 4
+            seed = 5
+            """,
+        )
+        out = tmp_path / f"{law}-{experiment}.csv"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+        got[law, experiment] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN
 
 
 def test_cli_large_edges_and_typical_rate(tmp_path):
@@ -256,10 +311,10 @@ def test_cli_typical_rate_bounded_requires_mu_rate(tmp_path):
 def test_cli_jobs_rejected_where_not_honoured(tmp_path, capsys):
     cfg = _write(tmp_path, "atoms = [(1.0, 0.5), (2.0, 0.5)]\nn_list = [10]\ntrials = 2\n")
     with pytest.raises(SystemExit) as exc:
-        main(["shift", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--jobs", "2"])
+        main(["calibrate", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--jobs", "2"])
     assert exc.value.code != 0
-    assert "shift" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
+    assert "calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cli_modify_demo_rejects_non_numeric_delta(tmp_path):

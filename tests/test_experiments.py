@@ -57,7 +57,7 @@ def test_large_edges_consistency_with_pattern_counts():
     # monotone e1-geodesics
     rows_a = run_large_edges(ATOMS12, 2.0, [10], 40, seed=3)
     pat = heavy_edge_pattern(2.0)
-    region = segment_region(10, 2, 6)
+    region = segment_region((10, 0), 6)
     graph = RegionGraph(region)
     for r in rows_a:
         w = graph.sample_weights(ATOMS12, r["seed"])
@@ -93,13 +93,13 @@ def test_gap_constant_spec_zero():
 
 
 def test_shift_identity_and_bound():
-    rows = run_shift_concavity(ATOMS12, [0.0, 0.3], 10, 20, seed=5)
+    rows = run_shift_concavity(ATOMS12, [0.0, 0.3], [10], 20, seed=5)
     for r in rows:
         assert r["holds"]
         if r["b"] == 0.0:
             assert r["t_shift"] == pytest.approx(r["t"])
     with pytest.raises(ValueError):
-        run_shift_concavity(ATOMS12, [1.0], 10, 2, seed=5)  # b = rho
+        run_shift_concavity(ATOMS12, [1.0], [10], 2, seed=5)  # b = rho
 
 
 def test_shape_deterministic_and_subadditive():
@@ -206,7 +206,8 @@ def test_large_edges_zero_probability_decays():
 
 
 # the zero atoms give zero-weight tight cycles, where rows take n_geodesics
-# from the enumeration; the oracle needs strips one vertex wide around the segment
+# from the enumeration; the oracle needs strips one vertex wide around the
+# segment, so these tests patch the segment pad to 1
 ROW_LAWS = (
     ATOMS12,
     DistributionSpec(atoms=((0.0, 0.3), (1.0, 0.4), (2.0, 0.3))),
@@ -214,12 +215,16 @@ ROW_LAWS = (
 )
 
 
+def _narrow():
+    return mock.patch.object(experiments, "segment_pad", lambda n: 1)
+
+
 def _assert_rows_exact(rows, spec, count):
     """Each row's min_count and n_geodesics are the min of count and the
     number of paths over the oracle's complete optimal set."""
     assert rows
     for r in rows:
-        region = segment_region(r["n"], 2, 1)
+        region = segment_region((r["n"], 0), 1)
         graph = RegionGraph(region)
         f = graph.field_from(graph.sample_weights(spec, r["seed"]))
         truth = exact_optimal_set((0, 0), (r["n"], 0), region, f)
@@ -231,15 +236,15 @@ def _assert_rows_exact(rows, spec, count):
 @given(st.sampled_from(ROW_LAWS), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_deficiency_rows_are_exact_over_every_geodesic(spec, n, seed):
     pat = heavy_edge_pattern(2.0)
-    rows = run_deficiency(spec, pat, [n], 3, seed=seed, pad=1)
+    with _narrow():
+        rows = run_deficiency(spec, pat, [n], 3, seed=seed)
     _assert_rows_exact(rows, spec, lambda g, f: oracle_pattern_count(g, pat, f))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(ROW_LAWS), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_large_edges_rows_are_exact_over_every_geodesic(spec, n, seed):
-    narrow = lambda n, d, pad: segment_region(n, d, 1)  # noqa: E731
-    with mock.patch.object(experiments, "segment_region", narrow):
+    with _narrow():
         rows = run_large_edges(spec, 2.0, [n], 3, seed=seed)
     _assert_rows_exact(rows, spec, lambda g, f: sum(bool(at_least(f.time(e), 2.0)) for e in g.edges()))
 
@@ -251,5 +256,6 @@ def test_multi_edge_pattern_rows_come_from_the_enumeration(monkeypatch):
     monkeypatch.setattr(GeodesicDag, "min_cost", refuse)
     monkeypatch.setattr(GeodesicDag, "count", refuse)
     pat = atom_square_pattern(1.0)
-    rows = run_deficiency(ATOMS12, pat, [2, 4], 6, seed=8, pad=1)
+    with _narrow():
+        rows = run_deficiency(ATOMS12, pat, [2, 4], 6, seed=8)
     _assert_rows_exact(rows, ATOMS12, lambda g, f: oracle_pattern_count(g, pat, f))

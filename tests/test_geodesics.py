@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fppkit.distributions import DistributionSpec
+from fppkit.experiments import estimate_time_constant
 from fppkit.fields import constant_field, sample_conditioned, sample_field
 from fppkit.geodesics import (
     RegionGraph,
     enumerate_geodesics,
-    estimate_time_constant,
     exact_norm_oracle,
     extreme_length_geodesics,
     first_lex_geodesic,
