@@ -89,6 +89,14 @@ def _parallel_over_n(fn, n_list, jobs, *args_before_n, **kwargs):
     return rows
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="fpp", description=__doc__)
     ap.add_argument(
@@ -101,8 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--jobs", type=int, default=1,
+    ap.add_argument("--trials", type=positive_int, default=None)
+    ap.add_argument("--jobs", type=positive_int, default=1,
                     help="parallel workers over the n grid of deficiency, gap, "
                          "large-edges and shift (deterministic merge)")
     args = ap.parse_args(argv)
@@ -115,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     d = int(cfg.get("dimension", 2))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 100))
+    if trials < 1:
+        ap.error(f"config key 'trials' must be at least 1, got {trials}")
     n_list = [int(n) for n in cfg.get("n_list", [10, 20])]
     cap = int(cfg.get("cap", 128))
 

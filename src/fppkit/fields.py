@@ -50,9 +50,6 @@ class _FrozenDict(Mapping):
     def __len__(self) -> int:
         return len(self._items)
 
-    def items(self):  # the dict's own view: condition_holds iterates it per translate
-        return self._items.items()
-
 
 def _edge(z: np.ndarray, axis: int) -> Edge:
     """The edge {z, z + e_axis} as a pair of tuples of Python ints."""
@@ -223,12 +220,23 @@ class EdgeConstraintSet:
         parts = zip((self.lower, self.axis, self.lo, self.hi), (other.lower, other.axis, other.lo, other.hi))
         return EdgeConstraintSet.from_arrays(*(np.concatenate(pair) for pair in parts))
 
+    def holds_at(self, f: "WeightField", z) -> np.ndarray:
+        """For each row x of the (k x d) translates z, whether the event
+        moved by +x holds on f: every edge {lower + x, upper + x} lies in
+        f's graph and its time meets [lo, hi] by `tolerance.in_interval`.
+        One gather of k x len(self) ids, so pass only the translates needed."""
+        z = np.asarray(z, dtype=np.int64)
+        (k, d), m = z.shape, len(self)
+        moved = (z[:, None, :] + self.lower).reshape(k * m, d)
+        ids = f.graph.ids_at(moved, np.tile(self.axis, k)).reshape(k, m)
+        return np.all((ids >= 0) & in_interval(f.w[ids], self.lo, self.hi), axis=1)
+
     def satisfied_by(self, f: "WeightField") -> bool:
         """The event holds on f; KeyError names a constrained edge outside f."""
         ids = f.graph.ids_at(self.lower, self.axis)
         if np.any(ids < 0):
             raise KeyError(self.edge(np.argmin(ids)))
-        return bool(np.all(in_interval(f.w[ids], self.lo, self.hi)))
+        return bool(self.holds_at(f, np.zeros((1, self.lower.shape[1]), dtype=np.int64))[0])
 
 
 def _checked(edges: list[Edge], ids: np.ndarray, error: type, message: str) -> np.ndarray:
@@ -454,10 +462,6 @@ class WeightField:
     @property
     def min_time(self) -> float:
         return float(self.w.min())
-
-    @property
-    def max_time(self) -> float:
-        return float(self.w.max())
 
     def shift(self, b: float) -> "WeightField":
         """T^(b): add b to every edge; negative b must keep weights positive."""

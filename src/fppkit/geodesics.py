@@ -192,12 +192,6 @@ class GeodesicDag:
         with dist(u) + T(u,v) = dist(v), in v's direction order."""
         return _ArcLists(self.graph, self._source_tight)
 
-    def tight_edges(self) -> set[tuple[Vertex, Vertex]]:
-        """Directed arcs (u, v) with dist(v) = dist(u) + T({u,v})."""
-        tail, head, _ = self.graph.arc_table
-        vs, tight = self.graph.vertices, self._source_tight
-        return {(vs[u], vs[v]) for v, u in zip(tail[tight].tolist(), head[tight].tolist())}
-
     @cached_property
     def _admissible(self) -> np.ndarray:
         tail, head, edge = self.graph.arc_table

@@ -177,16 +177,6 @@ class LatticePath:
             parts.append(f"{sign}{axis + 1}")
         return ",".join(parts)
 
-    @staticmethod
-    def from_directions(start: Vertex, text: str) -> "LatticePath":
-        vs = [tuple(start)]
-        if text:
-            for token in text.split(","):
-                axis = int(token[1:]) - 1
-                sign = 1 if token[0] == "+" else -1
-                vs.append(vadd(vs[-1], unit(len(start), axis, sign)))
-        return LatticePath(vs)
-
 
 def straight_path(start: Vertex, axis: int, sign: int, steps: int) -> LatticePath:
     d = len(start)

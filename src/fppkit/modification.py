@@ -619,21 +619,6 @@ def oriented_connector_bounded(u1: Vertex, v1: Vertex, lam: int) -> OrientedConn
     return OrientedConnector(LatticePath(verts), steps)
 
 
-def segment_deviation(path: LatticePath, a: Vertex, b: Vertex) -> float:
-    """max over path vertices of the l1 distance to the real segment [a, b]
-    and max over segment samples of the distance to the path."""
-    pa, pb = np.array(a, float), np.array(b, float)
-    pts = np.array(path.vertices, float)
-    seg = pb - pa
-    denom = float(seg @ seg) or 1.0
-    t = np.clip(((pts - pa) @ seg) / denom, 0.0, 1.0)
-    proj = pa + t[:, None] * seg
-    d1 = np.abs(pts - proj).sum(axis=1).max()
-    samples = pa + np.linspace(0, 1, 4 * len(path) + 2)[:, None] * seg
-    d2 = max(np.abs(pts - s).sum(axis=1).min() for s in samples)
-    return float(max(d1, d2))
-
-
 @dataclass
 class Stage1Bounded:
     """First modification: heavy gamma edges between B3 and B2."""

@@ -35,7 +35,7 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .tolerance import TIME_ATOL, WALL_LEVEL, agree, in_interval
+from .tolerance import WALL_LEVEL, agree, in_interval
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Pattern:
         one-edge support a self-avoiding path takes the pattern at x exactly
         when it steps over the support's translate by x and the event holds
         there, so N^P of a path is the sum of this cost over its edges.  The
-        event is tested by `tolerance.in_interval`, as in condition_holds."""
+        event is tested by `tolerance.in_interval`, as in `holds_at`."""
         box = self.region.bounds  # tight, so a box of two points holds just the endpoints
         if math.prod(h - l + 1 for l, h in zip(box.lo, box.hi)) != 2:
             return None
@@ -164,9 +164,9 @@ def validate_pattern(p: Pattern, spec: DistributionSpec) -> PatternVerdict:
 def condition_holds(x: Vertex, path: LatticePath, p: Pattern, f: WeightField) -> PatternHit | None:
     """The condition (path; pattern) at translate x.
 
-    Both visit orders are accepted.  The environment check reads the field
-    at the translated edges: (theta_x T)(e) = T(e + x), each against its
-    interval by `tolerance.in_interval`, inlined on this hot path.
+    The path visits u + x and v + x, in either order, and runs between them
+    inside the moved support; and the event holds on the shifted
+    environment, (theta_x T)(e) = T(e + x), by `EdgeConstraintSet.holds_at`.
     """
     x = tuple(x)
     try:
@@ -178,24 +178,19 @@ def condition_holds(x: Vertex, path: LatticePath, p: Pattern, f: WeightField) ->
     for v in path.vertices[i : j + 1]:
         if not p.region.contains(vsub(v, x)):
             return None
-    graph, w = f.graph, f.w
-    for (a, b), (lo, hi) in p.event.constraints.items():
-        eid = graph.edge_id((vadd(a, x), vadd(b, x)))  # translation keeps edges canonical
-        if eid < 0 or not (lo - TIME_ATOL <= w[eid] <= hi + TIME_ATOL):
-            return None
+    if not p.event.holds_at(f, np.array([x], dtype=np.int64))[0]:
+        return None
     return PatternHit(x, i, j)
 
 
 def pattern_hits(path: LatticePath, p: Pattern, f: WeightField) -> list[PatternHit]:
-    """All hits, in path order of the entry index.  The scan tries only
-    the translates that put the u-endpoint on the path, and each try finds
-    both endpoints with `index_of`, a dict lookup."""
-    candidates = {vsub(v, p.u_end) for v in path.vertices}
-    hits = []
-    for x in candidates:
-        hit = condition_holds(x, path, p, f)
-        if hit is not None:
-            hits.append(hit)
+    """All hits, in path order of the entry index.  The candidates are the
+    translates that put the u-endpoint on a path vertex; one `holds_at`
+    call keeps those at which the event holds, and `condition_holds`
+    confirms each distinct one (a path may revisit a vertex)."""
+    z = np.array(path.vertices, dtype=np.int64) - p.u_end
+    candidates = set(map(tuple, z[p.event.holds_at(f, z)].tolist()))
+    hits = [hit for x in candidates if (hit := condition_holds(x, path, p, f)) is not None]
     hits.sort(key=lambda h: (h.entry_index, h.translate))
     return hits
 

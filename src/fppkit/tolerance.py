@@ -1,8 +1,9 @@
 """The tolerance policy: the one module of fppkit that holds a tolerance
 (`oracle.py`, the independent reference, keeps its own), and the named
-comparisons that apply them.  The scales differ because the quantities
-compared differ.  `patterns.condition_holds` inlines `in_interval` on its
-hot path, where a numpy call per constraint would cost several times more.
+comparisons that apply them, with no exception.  The scales differ because
+the quantities compared differ.  A pattern event meets its intervals by
+`in_interval` inside `EdgeConstraintSet.holds_at`, one gather for every
+translate asked about.
 """
 
 from __future__ import annotations

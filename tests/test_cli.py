@@ -317,6 +317,32 @@ def test_cli_jobs_rejected_where_not_honoured(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, flags, config_trials, setting",
+    [
+        ("deficiency", ["--trials", "0"], 2, "--trials"),
+        ("calibrate", ["--trials", "0"], 2, "--trials"),
+        ("deficiency", ["--jobs", "0"], 2, "--jobs"),
+        ("deficiency", ["--jobs", "-4"], 2, "--jobs"),
+        ("deficiency", [], 0, "config key 'trials'"),
+    ],
+    ids=["trials", "calibrate-trials", "jobs-zero", "jobs-negative", "config-trials"],
+)
+def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, experiment, flags, config_trials, setting):
+    cfg = _write(
+        tmp_path,
+        "atoms = [(1.0, 0.5), (2.0, 0.5)]\npattern = av_edge\npattern_params = {\"M\": 2.0}\n"
+        f"n_list = [8]\ntrials = {config_trials}\n",
+    )
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--config", cfg, "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert setting in err and "at least 1" in err
+    assert not out.exists()
+
+
 def test_cli_modify_demo_rejects_non_numeric_delta(tmp_path):
     cfg = _write(
         tmp_path,

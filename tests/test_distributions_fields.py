@@ -199,7 +199,7 @@ def test_field_support_bounds():
     for spec in (HALF_HALF_12, DistributionSpec(uniforms=((0.5, 1.5, 1.0),))):
         f = sample_field(region, spec, 77)
         assert f.min_time >= spec.rho - 1e-12
-        assert f.max_time <= spec.t_max + 1e-12
+        assert f.w.max() <= spec.t_max + 1e-12
 
 
 def test_splice_identities():

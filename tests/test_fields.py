@@ -21,6 +21,7 @@ import math
 import pickle
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,11 +316,15 @@ def test_edges_within_refuses_a_sub_region_that_sticks_out():
 
 
 def test_satisfied_by_and_condition_holds_share_one_tolerance():
-    pat = heavy_edge_pattern(2.0)
+    heavy = heavy_edge_pattern(2.0)
+    light = replace(heavy, event=EdgeConstraintSet({((0, 0), (1, 0)): (0.0, 1.0)}))
     path = LatticePath([(0, 0), (1, 0)])
-    for t, holds in ((2.0 - 0.5e-9, True), (2.0 - 2e-9, False)):
+    for pat, t, holds in (
+        (heavy, 2.0 - 0.5e-9, True), (heavy, 2.0 - 2e-9, False), (light, 1.0 + 0.5e-9, True), (light, 1.0 + 1.5e-9, False),
+    ):
         f = RegionGraph(pat.region).field_from(np.array([t]))
         assert pat.event.satisfied_by(f) is holds
+        assert pat.event.holds_at(f, np.zeros((1, 2), dtype=np.int64)).tolist() == [holds]
         assert (condition_holds((0, 0), path, pat, f) is not None) is holds
 
 

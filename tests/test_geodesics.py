@@ -118,13 +118,19 @@ def test_unique_geodesic_continuous():
     assert unique >= 198  # ties have probability zero
 
 
+def _tight_edges(dag):
+    """The arcs (u, v) with dist(v) = dist(u) + T({u, v}), as vertex pairs."""
+    vs = dag.graph.vertices
+    return {(vs[u], vs[v]) for v in range(dag.graph.n) for u, _ in dag.parents[v]}
+
+
 def test_dag_soundness_and_subpath_optimality():
     region = ProductBox((-1, -1), (7, 7))
     for seed in range(30):
         f = sample_field(region, ATOMS12, seed)
         gs = enumerate_geodesics((0, 0), (5, 5), f)
         t, dag = restricted_geodesic_time((0, 0), (5, 5), f)
-        tight = dag.tight_edges()
+        tight = _tight_edges(dag)
         for g in gs.paths[:20]:
             assert passage_time(g, f) == pytest.approx(gs.time)
             for a, b in zip(g.vertices, g.vertices[1:]):

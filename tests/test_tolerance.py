@@ -40,3 +40,14 @@ def test_sum_comparisons_split_every_pair_three_ways():
     # le(a, b) is exactly "not lt(b, a)", also for infinities
     assert le(a, b).tolist() == (~lt(b, a)).tolist()
     assert le(b, a).tolist() == (~lt(a, b)).tolist()
+
+
+def test_drawn_times_meet_intervals_only_through_the_named_comparisons():
+    """TIME_ATOL is applied by in_interval and at_least alone: no module
+    of src/fppkit inlines the comparison."""
+    readers = [
+        path.name
+        for path in sorted(Path(fppkit.__file__).parent.glob("*.py"))
+        if path.name != "tolerance.py" and "TIME_ATOL" in path.read_text()
+    ]
+    assert readers == []
