@@ -233,6 +233,57 @@ def test_cli_outputs_keep_their_golden_bytes(tmp_path):
     assert got == GOLDEN
 
 
+# SHA-256 of each CSV at dimension 3, atoms {1, 2}, n_list = [8, 16], 4 trials, seed 5
+GOLDEN_D3 = {
+    "deficiency": "617a2dbb4ee1ea53da1fccb386b2bf4d075900cda7767dea9ea31a1fd96c3e2a",
+    "large-edges": "b39218c49fac172dd50b948644bf59567b7ddae7c0edc6f8ebf9d994b1aa777a",
+    "gap": "657dc0fd5213a4c60ccb9bbf2734ed261164db4442252c13084c767138a4d446",
+}
+
+
+def test_cli_d3_outputs_keep_their_golden_bytes(tmp_path):
+    cfg = _write(
+        tmp_path,
+        LAWS["atoms12"] + """
+        pattern = av_edge
+        pattern_params = {"M": 2.0}
+        M = 2.0
+        dimension = 3
+        n_list = [8, 16]
+        trials = 4
+        seed = 5
+        """,
+    )
+    got = {}
+    for experiment in GOLDEN_D3:
+        out = tmp_path / f"d3-{experiment}.csv"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+        got[experiment] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_D3
+
+
+# the modify-demo config of the benchmark (perfbench/workloads.py) with 3 instances
+MODIFY_DEMO = """
+    atoms = [(1.0, 0.05)]
+    exptail = [(3.0, 0.5, 0.95)]
+    pattern = av_edge
+    pattern_params = {"M": 8.0}
+    cap = 256
+    delta = 2.0660447436604943
+    """
+
+
+def test_cli_modify_demo_keeps_its_golden_bytes(tmp_path):
+    cfg = _write(tmp_path, MODIFY_DEMO + "instances = 3\nN = 4\nradii = (2, 6, 10)\n")
+    out = tmp_path / "demo.csv"
+    assert main(["modify-demo", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "demo.csv.reports.txt")]
+    assert digests == [
+        "b11f45fbb9d7a596d138d6e8c28395ba5b00478d9fcb8e2ef597ec9f6f55a3a8",
+        "b8b8ead7fd300521d1816962a8947b57975ca20d352902ccf7fade8b575e0640",
+    ]
+
+
 def test_cli_large_edges_and_typical_rate(tmp_path):
     cfg = _write(
         tmp_path,
