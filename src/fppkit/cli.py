@@ -224,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
             N=int(cfg.get("N", 4)), radii=radii, d=d,
             delta=delta, cap=cap,
         )
+        print(summary)
+        if not insts:  # no rows, so no CSV and no reports
+            raise SystemExit("fpp modify-demo: no instance passed the gates "
+                             f"(attempts={summary['attempts']}, gate_failures={summary['gate_failures']})")
         rows = [
             dict(experiment="modify_demo", instance=i, seed=inst.seed,
                  retries=inst.retries, passed=int(inst.all_passed),
@@ -235,7 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         with open(report_path, "w") as fh:
             for i, inst in enumerate(insts):
                 fh.write(f"=== instance {i} (seed {inst.seed}) ===\n{inst.report_text}\n\n")
-        print(summary)
         print(f"full clause reports: {report_path}")
         return 0 if summary["all_clauses_passed"] else 1
 

@@ -9,12 +9,12 @@ array's 1.6 MB, and converting between the two forms cost about 0.1 s each
 way per sample.  Single edges are read through the graph's O(1) (vertex
 index, axis) table of edge ids.
 
-A graph's edges are an `EdgeList`: a read-only list of edge tuples that
-also carries their lower endpoints and axes as arrays.  Every function that
-takes edges reads those arrays when it is given an `EdgeList` and converts
-tuples to arrays otherwise; on the orientation cube the conversion took
-0.06 s per call.  The arrays are the graph's own, not a reference back to
-it, so a graph is freed as soon as it is dropped.
+A graph is arrays, and builds tuples only when a caller asks for them.
+Its edges are `EdgeArrays` (lower endpoints and axes); the `EdgeList` of
+their tuples is built on first use.  Every function that takes edges reads
+the arrays when given `EdgeArrays` and converts tuples otherwise (0.06 s
+per call on the orientation cube).  The arrays hold no reference back to
+the graph, so a graph is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,23 +56,23 @@ def _edge(z: np.ndarray, axis: int) -> Edge:
     return tuple(z.tolist()), tuple((z + np.eye(len(z), dtype=np.int64)[axis]).tolist())
 
 
-class EdgeList(list):
-    """Edges in canonical order with their lower endpoints (edges x d) and
-    axes as read-only arrays.  The packed RNG keys and the table behind
-    `ids_at` are built on first use.
+class EdgeArrays:
+    """Edges in canonical order as read-only arrays of lower endpoints (edges
+    x d) and axes, with no reference to a graph; item i is edge i as tuples.
+    The packed RNG keys and the table behind `ids_at` are built on first use."""
 
-    The list cannot be changed in place, so the arrays cannot go stale;
-    slices, copies and concatenations are plain lists.  It holds no
-    reference to the graph that made it.
-    """
-
-    def __init__(self, edges: list[Edge], lower: np.ndarray, axis: np.ndarray):
-        super().__init__(edges)
+    def __init__(self, lower: np.ndarray, axis: np.ndarray):
         self.lower, self.axis = lower.view(), axis.view()
         self.lower.flags.writeable = self.axis.flags.writeable = False
 
     def __reduce__(self):  # the cached keys and table are rebuilt on first use
-        return EdgeList, (list(self), self.lower, self.axis)
+        return EdgeArrays, (self.lower, self.axis)
+
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    def __getitem__(self, i: int) -> Edge:
+        return _edge(self.lower[i], self.axis[i])
 
     @cached_property
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -91,11 +91,25 @@ class EdgeList(list):
 
     def ids_at(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
         """Positions of the edges {z, z + e_axis} for the rows z of lower,
-        -1 where that edge is not in the list."""
+        -1 where that edge is not among these."""
         origin, table = self._table
         rel = lower - origin
         inside = np.all((rel >= 0) & (rel < table.shape[:-1]), axis=1)
         return np.where(inside, table[(*np.where(inside[:, None], rel, 0).T, axis)], -1)
+
+
+class EdgeList(list, EdgeArrays):
+    """`EdgeArrays` that are also the list of their edge tuples, sharing the
+    arrays (and any keys or id table) of those they are built over.  The
+    list cannot be changed in place, so the arrays cannot go stale; slices,
+    copies and concatenations are plain lists."""
+
+    def __init__(self, edges: list[Edge], arrays: EdgeArrays):
+        super().__init__(edges)
+        vars(self).update(vars(arrays))
+
+    def __reduce__(self):
+        return EdgeList, (list(self), EdgeArrays(self.lower, self.axis))
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("an EdgeList is read-only; list(edges) gives an editable copy")
@@ -104,10 +118,10 @@ class EdgeList(list):
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
 
-def _lower_and_axis(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lower_and_axis(edges: list[Edge] | EdgeArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower endpoints (n x d), axes, and which pairs are two lattice
     neighbours, for vertex pairs given in either order."""
-    if isinstance(edges, EdgeList):
+    if isinstance(edges, EdgeArrays):
         return edges.lower, edges.axis, np.ones(len(edges), dtype=bool)
     d = len(edges[0][0]) if edges else 1  # a 0 x 1 array broadcasts against any d
     ends = np.fromiter(chain.from_iterable(u + v for u, v in edges), np.int64, 2 * d * len(edges))
@@ -150,7 +164,7 @@ class EdgeConstraintSet:
     @classmethod
     def on_graph(cls, graph: "RegionGraph", lo, hi, ids=None) -> "EdgeConstraintSet":
         """The event on the edges ids of graph (all of them for None)."""
-        ids = np.arange(len(graph.edges)) if ids is None else np.asarray(ids, dtype=np.intp)
+        ids = np.arange(len(graph.axis)) if ids is None else np.asarray(ids, dtype=np.intp)
         if np.any(ids < 0):
             raise ValueError("an event edge lies outside the graph")
         return cls.from_arrays(graph.lower[ids], graph.axis[ids], lo, hi)
@@ -177,9 +191,7 @@ class EdgeConstraintSet:
     def __len__(self) -> int:
         return len(self.axis)
 
-    def edge(self, i: int) -> Edge:
-        """Constraint i's edge, as tuples of Python ints."""
-        return _edge(self.lower[i], self.axis[i])
+    edge = EdgeArrays.__getitem__  # constraint i's edge, as tuples of Python ints
 
     @cached_property
     def constraints(self) -> Mapping[Edge, Interval]:
@@ -239,7 +251,7 @@ class EdgeConstraintSet:
         return bool(self.holds_at(f, np.zeros((1, self.lower.shape[1]), dtype=np.int64))[0])
 
 
-def _checked(edges: list[Edge], ids: np.ndarray, error: type, message: str) -> np.ndarray:
+def _checked(edges: list[Edge] | EdgeArrays, ids: np.ndarray, error: type, message: str) -> np.ndarray:
     """ids, after raising error(message naming the first edge whose id is -1)."""
     bad = np.flatnonzero(ids < 0)
     if len(bad):
@@ -259,10 +271,10 @@ def _positions(keys: tuple[np.ndarray, np.ndarray], wanted: tuple[np.ndarray, np
     return np.where(first[n:] < n, first[n:], -1)
 
 
-def _edge_arrays(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
+def _edge_arrays(edges: list[Edge] | EdgeArrays) -> tuple[np.ndarray, np.ndarray]:
     """Packed keys of edges given in either endpoint order; ValueError names
     the first pair that is not two lattice neighbours."""
-    if isinstance(edges, EdgeList):
+    if isinstance(edges, EdgeArrays):
         return edges.keys
     lower, axis, ok = _lower_and_axis(edges)
     if not ok.all():
@@ -271,7 +283,7 @@ def _edge_arrays(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def edge_times_for(
-    edges: list[Edge],
+    edges: list[Edge] | EdgeArrays,
     spec: DistributionSpec,
     seed: int,
     constraints: EdgeConstraintSet | None = None,
@@ -283,15 +295,15 @@ def edge_times_for(
     from the law conditioned to their interval via the inverse CDF on the
     same per-edge uniform, so adding a constraint never perturbs other
     edges; each distinct interval is checked for mass and sampled with one
-    conditional_ppf call.  Given an `EdgeList` (a graph's edges), it reads
-    the list's keys and id table and never its tuples.
+    conditional_ppf call.  Given `EdgeArrays` (a graph's edges, or their
+    `EdgeList`), it reads their keys and id table and never a tuple.
     """
     keys = _edge_arrays(edges)
     u = edge_uniforms(seed, *keys)
     if constraints is None or not len(constraints):
         return spec.ppf(u)
     wanted = constraints.lower, constraints.axis
-    ids = edges.ids_at(*wanted) if isinstance(edges, EdgeList) else _positions(keys, pack_edge_keys(*wanted))
+    ids = edges.ids_at(*wanted) if isinstance(edges, EdgeArrays) else _positions(keys, pack_edge_keys(*wanted))
     if np.any(ids < 0):
         raise KeyError(f"constrained edge {constraints.edge(np.argmin(ids))} outside the sampled region")
     times = np.empty_like(u)
@@ -306,24 +318,69 @@ def edge_times_for(
     return times
 
 
+class VertexView(Sequence):
+    """The rows of an (n x d) coordinate array as read-only vertex tuples:
+    an item or a slice is built on demand; iteration builds the list once."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords, self._list = coords, None
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if self._list is not None:
+            return self._list[i]
+        return vertex_tuples(self.coords[i]) if isinstance(i, slice) else tuple(self.coords[i].tolist())
+
+    def __iter__(self):
+        if self._list is None:
+            self._list = vertex_tuples(self.coords)
+        return iter(self._list)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
+class VertexIndex(Mapping):
+    """Vertex -> index, read off a table of indices over the box with corner
+    lo (-1 off the region) instead of a dict."""
+
+    def __init__(self, lo: Vertex, table: np.ndarray):
+        self.lo, self.table = tuple(lo), table
+
+    def __getitem__(self, v: Vertex) -> int:
+        if isinstance(v, tuple) and len(v) == len(self.lo):
+            rel = tuple(c - a for c, a in zip(v, self.lo))
+            # a negative offset would wrap around; the row above the top holds only -1
+            if all(0 <= r < n for r, n in zip(rel, self.table.shape)) and self.table[rel] >= 0:
+                return int(self.table[rel])
+        raise KeyError(v)
+
+    def __iter__(self):
+        return iter(vertex_tuples(np.argwhere(self.table >= 0) + self.lo))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.table >= 0))
+
+
 class RegionGraph:
-    """The edge index of a region: its vertices in lexicographic order, as
-    `coords` (the region's own enumeration) and as tuples with their
-    indices, the edges in canonical order as an `EdgeList` (whose arrays,
-    keys and id table the graph shares), and a (vertex index, axis) table
-    of edge ids for single edges.  The arc table and its CSR form are built
-    on first search."""
+    """The edge index of a region, held as arrays: the vertices in
+    lexicographic order as `coords` (the region's own enumeration), the
+    edges in canonical order as `arrays`, and a (vertex index, axis) table
+    of edge ids.  Tuples are built only when asked for: `vertices` views
+    `coords`, `vindex` reads a bounding-box table of vertex indices, and the
+    `EdgeList` `edges` is built on first read, as are the arc tables."""
 
     def __init__(self, region: Region):
         self.region = region
         self.coords = region.coords()
-        self.vertices: list[Vertex] = vertex_tuples(self.coords)
-        self.vindex: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        d = region.dim
+        self.n, d = len(self.coords), region.dim
         # vertex index at each point of the bounding box (one wider at the top), -1 off the region
         rel = self.coords - np.array(region.bounds.lo)
         box = np.full(rel.max(axis=0) + 2, -1, dtype=np.intp)
         box[tuple(rel.T)] = np.arange(self.n)
+        self.vertices, self.vindex = VertexView(self.coords), VertexIndex(region.bounds.lo, box)
         # the +e_a neighbours, axes reversed: edge {v, v + e_a} has rank (v, d - 1 - a) in edge order
         up = np.stack([box[tuple((rel + step).T)] for step in np.eye(d, dtype=np.int64)[::-1]], axis=1)
         has = up >= 0
@@ -332,36 +389,30 @@ class RegionGraph:
         self._eid = np.ascontiguousarray(eid[:, ::-1])
         lower, rank = np.nonzero(has)
         self._ends = (lower, up[has])
-        edges = [(self.vertices[i], self.vertices[j]) for i, j in zip(lower.tolist(), up[has].tolist())]
-        self.edges = EdgeList(edges, self.coords[lower], d - 1 - rank)
+        self.arrays = EdgeArrays(self.coords[lower], d - 1 - rank)
+        self.lower, self.axis = self.arrays.lower, self.arrays.axis  # (edges x d) lower endpoints, axes
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Each edge's lower endpoint, as an (edges x d) coordinate array."""
-        return self.edges.lower
-
-    @property
-    def axis(self) -> np.ndarray:
-        return self.edges.axis
+    @cached_property
+    def edges(self) -> EdgeList:
+        """The edge tuples in edge order; they share the vertex tuples."""
+        vs = list(self.vertices)
+        lower, upper = (map(vs.__getitem__, ends.tolist()) for ends in self._ends)
+        return EdgeList(list(zip(lower, upper)), self.arrays)
 
     def edge_id(self, e: Edge) -> int:
         """Id of the canonical edge e, -1 when it is not an edge of the region."""
         i = self.vindex.get(e[0])
         return -1 if i is None else int(self._eid[i, edge_axis(e)])
 
-    def edge_ids(self, edges: Iterable[Edge]) -> np.ndarray:
+    def edge_ids(self, edges: Iterable[Edge] | EdgeArrays) -> np.ndarray:
         """Ids of edges given in either endpoint order, -1 outside the region."""
-        lower, axis, ok = _lower_and_axis(edges if isinstance(edges, list) else list(edges))
+        lower, axis, ok = _lower_and_axis(edges if isinstance(edges, (list, EdgeArrays)) else list(edges))
         return np.where(ok, self.ids_at(lower, axis), -1)
 
     def ids_at(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
         """Ids of the edges {z, z + e_axis} for the rows z of lower, -1 where
         that edge is not in the region."""
-        return self.edges.ids_at(lower, axis)
+        return self.arrays.ids_at(lower, axis)
 
     def edges_within(self, region: Region) -> EdgeList:
         """The edges of a sub-region, in its own edge order, read off this
@@ -371,7 +422,8 @@ class RegionGraph:
             raise ValueError(f"{region} sticks out of {self.region}")
         lower, upper = self._ends
         ids = np.flatnonzero(inside[lower] & inside[upper])
-        return EdgeList([self.edges[i] for i in ids.tolist()], self.lower[ids], self.axis[ids])
+        ends = (vertex_tuples(self.coords[v[ids]]) for v in (lower, upper))
+        return EdgeList(list(zip(*ends)), EdgeArrays(self.lower[ids], self.axis[ids]))
 
     def boundary_indices(self) -> frozenset[int]:
         """Vertices with a lattice neighbour outside the region."""
@@ -404,15 +456,15 @@ class RegionGraph:
     def sample_weights(
         self, spec: DistributionSpec, seed: int, constraints: EdgeConstraintSet | None = None
     ) -> np.ndarray:
-        """Edge times in edge order: edge_times_for(self.edges, ...)."""
-        return edge_times_for(self.edges, spec, seed, constraints)
+        """Edge times in edge order: edge_times_for(self.arrays, ...)."""
+        return edge_times_for(self.arrays, spec, seed, constraints)
 
     def field_from(self, w: np.ndarray, seed: int = -1) -> WeightField:
         """The field with times w (in edge order) on this graph: a read-only
         view of w, not a copy."""
         view = np.asarray(w, dtype=np.float64).view()
-        if view.shape != (len(self.edges),):
-            raise ValueError(f"{view.shape} weights for {len(self.edges)} edges")
+        if view.shape != (len(self.axis),):
+            raise ValueError(f"{view.shape} weights for {len(self.axis)} edges")
         view.flags.writeable = False
         return WeightField(self, view, seed)
 
@@ -421,7 +473,7 @@ class RegionGraph:
         this region, else a gather onto this sub-region."""
         if f.graph is self or f.graph.region == self.region:
             return f.w
-        return f.times_at(self.edges)
+        return f.times_at(self.arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,9 +496,9 @@ class WeightField:
             raise KeyError(e)
         return float(self.w[i])
 
-    def times_at(self, edges: list[Edge]) -> np.ndarray:
-        """Times of edges given in either endpoint order; KeyError names the
-        first edge outside the field."""
+    def times_at(self, edges: list[Edge] | EdgeArrays) -> np.ndarray:
+        """Times of edges given in either endpoint order, or of a graph's
+        `EdgeArrays`; KeyError names the first edge outside the field."""
         return self.w[_checked(edges, self.graph.edge_ids(edges), KeyError, "edge {} outside the field")]
 
     def path_time(self, path) -> float:
@@ -497,8 +549,8 @@ class WeightField:
     def from_csv(path: str, region: Region) -> "WeightField":
         """Read a to_csv dump; it must hold every edge of the region and no other."""
         graph = RegionGraph(region)
-        w = np.zeros(len(graph.edges))
-        seen = np.zeros(len(graph.edges), dtype=bool)
+        w = np.zeros(len(graph.axis))
+        seen = np.zeros(len(graph.axis), dtype=bool)
         with open(path) as fh:
             d = (len(fh.readline().strip().split(",")) - 1) // 2
             for line in fh:
@@ -511,14 +563,14 @@ class WeightField:
                 w[i], seen[i] = float(parts[2 * d]), True
         missing = np.flatnonzero(~seen)
         if len(missing):
-            raise ValueError(f"{path}: region edge {graph.edges[missing[0]]} is missing")
+            raise ValueError(f"{path}: region edge {graph.arrays[missing[0]]} is missing")
         return graph.field_from(w)
 
 
 def sample_field(region: Region, spec: DistributionSpec, seed: int) -> WeightField:
     """i.i.d. environment on the region's edges, reproducible from the seed."""
     graph = RegionGraph(region)
-    if not graph.edges:
+    if not len(graph.axis):
         raise ValueError("region has no edges")
     return graph.field_from(graph.sample_weights(spec, seed), seed)
 
@@ -544,7 +596,7 @@ def constraint_probability(spec: DistributionSpec, constraints: EdgeConstraintSe
 
 def splice(base: WeightField, donor: WeightField, edges: Iterable[Edge]) -> WeightField:
     """Pointwise selection: donor's times on the given edges, base elsewhere."""
-    edges = edges if isinstance(edges, EdgeList) else [canonical_edge(*e) for e in edges]
+    edges = edges if isinstance(edges, EdgeArrays) else [canonical_edge(*e) for e in edges]
     ids = _checked(edges, base.graph.edge_ids(edges), ValueError, "edge {} outside the base field")
     w = base.w.copy()
     w[ids] = donor.w[ids] if donor.graph.region == base.region else donor.times_at(edges)
@@ -553,4 +605,4 @@ def splice(base: WeightField, donor: WeightField, edges: Iterable[Edge]) -> Weig
 
 def constant_field(region: Region, value: float) -> WeightField:
     graph = RegionGraph(region)
-    return graph.field_from(np.full(len(graph.edges), float(value)))
+    return graph.field_from(np.full(len(graph.axis), float(value)))

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import RegionGraph, WeightField
-from .lattice import LatticePath, Region, Vertex
+from .lattice import LatticePath, Region, Vertex, vertex_tuples
 from .tolerance import close
 
 DEFAULT_PATH_CAP = 10_000
@@ -268,7 +268,7 @@ class GeodesicDag:
         return verts
 
     def _path(self, verts: list[int]) -> LatticePath:
-        return LatticePath(self.graph.vertices[i] for i in verts)
+        return LatticePath(vertex_tuples(self.graph.coords[verts]))
 
     def _walk(self, visit, node_budget: int) -> bool:
         """Depth-first walk over the self-avoiding admissible paths from x.

@@ -44,6 +44,7 @@ from .lattice import (
     monotone_path,
     unit,
     vadd,
+    vertex_tuples,
     vneg,
     vscale,
     vsub,
@@ -748,8 +749,8 @@ def build_plan_bounded(
     # gamma stays a T*-geodesic, so T*(gamma_{0,u1}) = t*(0, u1)
     t0u1 = dist0[graph.vindex[u1]]
     tv1x = distx[graph.vindex[v1]]
-    ball0 = frozenset(graph.vertices[i] for i in np.flatnonzero(le(dist0, t0u1)))
-    ballx = frozenset(graph.vertices[i] for i in np.flatnonzero(le(distx, tv1x)))
+    ball0 = frozenset(vertex_tuples(graph.coords[le(dist0, t0u1)]))
+    ballx = frozenset(vertex_tuples(graph.coords[le(distx, tv1x)]))
     u2 = next((z for z in reversed(pi.vertices) if z in ball0), None)
     v2 = next((z for z in pi.vertices if z in ballx), None)
     if u2 is None or v2 is None:

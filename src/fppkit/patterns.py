@@ -252,7 +252,7 @@ def _constrain_all(
     """Every edge of region in the default interval, except the (distinct)
     edges of special, each in its own interval."""
     graph = RegionGraph(region)
-    bounds = np.tile(np.array(default, dtype=np.float64), (len(graph.edges), 1))
+    bounds = np.tile(np.array(default, dtype=np.float64), (len(graph.axis), 1))
     if special:
         edges, intervals = zip(*special)
         bounds[_ids(graph, list(edges))] = intervals
@@ -517,8 +517,8 @@ def enlarge_to_cube(p: Pattern, m_cap: float) -> Pattern:
     if set(pu.vertices) & set(pv.vertices):
         raise AssertionError("connectors intersect")
     graph = RegionGraph(cube)
-    wall = len(graph.edges) * m_cap
-    lo, hi = np.full(len(graph.edges), wall + 1.0), np.full(len(graph.edges), math.inf)
+    wall = len(graph.axis) * m_cap
+    lo, hi = np.full(len(graph.axis), wall + 1.0), np.full(len(graph.axis), math.inf)
     kept = _ids(graph, RegionGraph(p.region).edges + pu.edges() + pv.edges())
     lo[kept], hi[kept] = 0.0, m_cap
     event = p.event
@@ -610,10 +610,10 @@ def orient_pattern(
 
     cube = LInfBall((0,) * d, l0)
     graph = RegionGraph(cube)
-    lo, hi = np.full(len(graph.edges), float(nu0)), np.full(len(graph.edges), float(nu))
+    lo, hi = np.full(len(graph.axis), float(nu0)), np.full(len(graph.axis), float(nu))
     guide_ids = _ids(graph, guide.edges())
     lo[guide_ids], hi[guide_ids] = 0.0, rho + ddp
-    support = _ids(graph, RegionGraph(p.region).edges)
+    support = _ids(graph, RegionGraph(p.region).arrays)
     lo[support], hi[support] = 0.0, nu0
     event = p.event
     ids = graph.ids_at(event.lower, event.axis)

@@ -24,6 +24,7 @@ from .lattice import (
     Region,
     Vertex,
     l1,
+    vertex_tuples,
     vscale,
 )
 from .patterns import OrientedPattern, Pattern, hits_inside
@@ -283,12 +284,12 @@ def derive_constants(
     if isinstance(pattern, OrientedPattern):
         lam = pattern.l0
         nu_cap = float(pattern.pattern.event.hi.max())
-        K_pat = len(RegionGraph(pattern.pattern.region).edges)
+        K_pat = len(RegionGraph(pattern.pattern.region).axis)
     else:
         box = pattern.region.bounds
         lam = max(map(abs, box.lo + box.hi))
         nu_cap = min(t_max, float(pattern.event.hi.max()))
-        K_pat = len(RegionGraph(pattern.region).edges)
+        K_pat = len(RegionGraph(pattern.region).axis)
     tau = 2 * lam * nu_cap
     T_pat = K_pat * (t_max - rho)
     delta_prime = min(delta / 4, delta / (1 + d))
@@ -401,7 +402,7 @@ def _witness_path(dag: GeodesicDag, j: int) -> str:
         if u is None:
             break
         verts.append(u)
-    path = LatticePath(dag.graph.vertices[i] for i in reversed(verts))
+    path = LatticePath(vertex_tuples(dag.graph.coords[verts[::-1]]))
     return f"start={path.start} dirs={path.directions()}"
 
 

@@ -284,6 +284,21 @@ def test_cli_modify_demo_keeps_its_golden_bytes(tmp_path):
     ]
 
 
+def test_cli_modify_demo_without_instances_names_its_gate_counts(tmp_path, capsys):
+    # at N = 2, radii (2, 4, 6) every attempt fails a gate: no rows, so no CSV
+    cfg = _write(tmp_path, MODIFY_DEMO + "instances = 2\nN = 2\nradii = (2, 4, 6)\n")
+    out = tmp_path / "demo.csv"
+    with pytest.raises(SystemExit) as exc:  # exit status 1, the message on stderr
+        main(["modify-demo", "--config", cfg, "--out", str(out), "--seed", "5"])
+    summary = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
+    assert summary["instances"] == 0 and summary["attempts"] == summary["gate_failures"] > 0
+    assert exc.value.code == (
+        "fpp modify-demo: no instance passed the gates "
+        f"(attempts={summary['attempts']}, gate_failures={summary['gate_failures']})"
+    )
+    assert not out.exists()
+
+
 def test_cli_large_edges_and_typical_rate(tmp_path):
     cfg = _write(
         tmp_path,

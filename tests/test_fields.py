@@ -10,7 +10,10 @@ and `edges_within` refuses a sub-region that sticks out.  Events
 (the arrays behind `EdgeConstraintSet`) are checked against an edge-keyed
 dict reference, and conditioned sampling against the dict-grouped sampler.
 A graph's `EdgeList` is checked to sample the same bytes as its plain-list
-copy, to refuse edits, to pickle, and to leave no reference cycle.  Seed
+copy, to refuse edits, to pickle, and to leave no reference cycle.  The
+graph's vertex and index views are checked against an eager reference in
+d = 1..4, a vertex off the region must raise KeyError, and the
+`modify-demo` world must never build its full tuple lists.  Seed
 derivation is checked against the numpy-scalar chain of
 `oracle.derive_seed_scalars`, and takes numpy integers as their value.
 """
@@ -39,7 +42,8 @@ from fppkit.fields import (
     sample_field,
     splice,
 )
-from fppkit.geodesics import passage_time
+from fppkit.cli import main
+from fppkit.geodesics import GeodesicDag, passage_time
 from fppkit.lattice import (
     Annulus,
     L1Ball,
@@ -57,18 +61,20 @@ from fppkit.lattice import (
 )
 from fppkit.oracle import _splitmix64, derive_seed_scalars, region_edges, region_vertices
 from fppkit.patterns import condition_holds, heavy_edge_pattern, two_route_pattern_unbounded
+from fppkit.renormalization import BoxScale
 from fppkit.rng import derive_seed, edge_uniforms, pack_edge_keys
+from fppkit.tolerance import at_least
 
 SPEC = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.3)), uniforms=((1.0, 2.0, 0.5),))
 EXTENTS = {2: (4, 3), 3: (2, 2, 1)}  # boxes up to 5x4 and 3x3x2 vertices
 
 
 @st.composite
-def regions(draw):
-    """A box, an l1 ball, an l-inf ball or an annulus in d = 2..4, with at
-    most about 700 vertices."""
-    d = draw(st.integers(2, 4))
-    size = {2: 4, 3: 3, 4: 2}[d]
+def regions(draw, dims=(2, 4)):
+    """A box, an l1 ball, an l-inf ball or an annulus in d = dims[0]..dims[1],
+    with at most about 700 vertices."""
+    d = draw(st.integers(*dims))
+    size = {1: 6, 2: 4, 3: 3, 4: 2}[d]
     center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
     kind = draw(st.sampled_from(["box", "l1", "linf", "annulus"]))
     if kind == "box":
@@ -96,6 +102,50 @@ def test_region_graph_matches_membership_tests(region):
     boundary = {v for v in graph.vertices if any(not region.contains(w) for w in neighbors(v))}
     assert {graph.vertices[i] for i in graph.boundary_indices()} == boundary
     assert RegionGraph(box_containing(graph.vertices, pad=1)).edges_within(region) == graph.edges
+
+
+def _built(graph: RegionGraph) -> bool:
+    """Whether the graph holds its full vertex-tuple or edge-tuple list."""
+    return graph.vertices._list is not None or "edges" in vars(graph)
+
+
+def _not_a_key(index, v) -> bool:
+    try:
+        index[v]
+    except KeyError:
+        return v not in index and index.get(v) is None and index.get(v, -7) == -7
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions(dims=(1, 4)))
+def test_vertex_and_edge_views_equal_an_eager_reference(region):
+    vs, edges = region_vertices(region), region_edges(region)  # the eager reference
+    index = {v: i for i, v in enumerate(vs)}
+    graph = RegionGraph(region)
+    views = graph.vertices, graph.vindex
+    assert len(views[0]) == graph.n == len(vs) and [views[0][i] for i in range(len(vs))] == vs
+    assert views[0][-1] == vs[-1] and views[0][1:-1:2] == vs[1:-1:2]
+    assert all(views[1][v] == i and views[1].get(v) == i and v in views[1] for v, i in index.items())
+    assert len(views[1]) == len(vs) and list(views[1]) == vs and dict(views[1]) == index
+    within = RegionGraph(box_containing(vs, pad=1)).edges_within(region)
+    assert within == edges and within.lower.tolist() == [list(u) for u, _ in edges]
+    assert not _built(graph)  # item by item and by lookup so far
+    assert graph.edges == edges and graph.edges_within(region) == edges and list(graph.vertices) == vs
+    assert graph.vertices == vs and vs == graph.vertices and graph.vertices != vs[:-1]
+    # off the region: just off each face (the padding row above the top face
+    # included), below bounds.lo, one table width away on each axis (a
+    # negative offset that wrapped around would land back on a vertex), the
+    # rest of the bounding box, and vertices of other dimensions
+    lo, hi = region.bounds.lo, region.bounds.hi
+    off = {w for v in vs for w in neighbors(v)} | set(region.bounds.vertices())
+    off |= {tuple(c - 1 for c in lo), tuple(c - 2 for c in lo), tuple(c + 2 for c in hi)}
+    for v in vs[:: max(1, len(vs) // 25)]:
+        for a, width in enumerate(h - l + 2 for l, h in zip(lo, hi)):
+            off |= {vadd(v, unit(region.dim, a, -width)), vadd(v, unit(region.dim, a, width))}
+        off |= {v + (0,), v[:-1], v + v}
+    assert all(_not_a_key(views[1], w) for w in off - set(index))
+    assert not any(_not_a_key(views[1], v) for v in vs)
 
 
 @st.composite
@@ -491,6 +541,38 @@ def test_a_region_graph_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+UNBOUNDED = DistributionSpec(atoms=((1.0, 0.05),), exp_tails=((3.0, 0.5, 0.95),))
+
+
+def test_the_modify_demo_world_builds_no_full_tuple_list(tmp_path, monkeypatch):
+    # the world of `fpp modify-demo` at N = 4, radii (2, 6, 10): 177 x 113 vertices
+    graph = RegionGraph(ProductBox((-56, -56), (120, 56)))
+    f = graph.field_from(graph.sample_weights(UNBOUNDED, 5), seed=5)
+    dag = GeodesicDag.between(graph, f.w, (0, 0), (64, 0))
+    first = dag.first_lex()
+    assert dag.geodesics(256).paths[0] == first
+    assert dag.min_cost(at_least(f.w, 8.0))[0] >= 0
+    b2 = BoxScale((12, 0), 4, (2, 6, 10)).ball(2)
+    assert len(graph.edges_within(b2)) == b2.edge_count()
+    assert not _built(graph)
+    # one whole operation, as the benchmark runs it
+    made, init = [], RegionGraph.__init__
+
+    def recorded(self, region):
+        init(self, region)
+        made.append(self)
+
+    monkeypatch.setattr(RegionGraph, "__init__", recorded)
+    (tmp_path / "demo.cfg").write_text(
+        "atoms = [(1.0, 0.05)]\nexptail = [(3.0, 0.5, 0.95)]\npattern = av_edge\n"
+        'pattern_params = {"M": 8.0}\ninstances = 1\ncap = 256\ndelta = 2.0660447436604943\n'
+    )
+    argv = ["--config", str(tmp_path / "demo.cfg"), "--out", str(tmp_path / "demo.csv"), "--seed", "5"]
+    assert main(["modify-demo", *argv]) == 0
+    worlds = [g for g in made if g.region == graph.region]
+    assert len(worlds) == 1 and not _built(worlds[0])
 
 
 WORDS = st.integers(-(2**70), 2**70)
