@@ -226,8 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(summary)
         if not insts:  # no rows, so no CSV and no reports
-            raise SystemExit("fpp modify-demo: no instance passed the gates "
-                             f"(attempts={summary['attempts']}, gate_failures={summary['gate_failures']})")
+            print("fpp modify-demo: no instance passed the gates (attempts="
+                  f"{summary['attempts']}, gate_failures={summary['gate_failures']})", file=sys.stderr)
+            return 1
         rows = [
             dict(experiment="modify_demo", instance=i, seed=inst.seed,
                  retries=inst.retries, passed=int(inst.all_passed),

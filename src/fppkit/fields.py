@@ -396,8 +396,7 @@ class RegionGraph:
     def edges(self) -> EdgeList:
         """The edge tuples in edge order; they share the vertex tuples."""
         vs = list(self.vertices)
-        lower, upper = (map(vs.__getitem__, ends.tolist()) for ends in self._ends)
-        return EdgeList(list(zip(lower, upper)), self.arrays)
+        return EdgeList(list(zip(*(map(vs.__getitem__, ends.tolist()) for ends in self._ends))), self.arrays)
 
     def edge_id(self, e: Edge) -> int:
         """Id of the canonical edge e, -1 when it is not an edge of the region."""

@@ -288,13 +288,13 @@ def test_cli_modify_demo_without_instances_names_its_gate_counts(tmp_path, capsy
     # at N = 2, radii (2, 4, 6) every attempt fails a gate: no rows, so no CSV
     cfg = _write(tmp_path, MODIFY_DEMO + "instances = 2\nN = 2\nradii = (2, 4, 6)\n")
     out = tmp_path / "demo.csv"
-    with pytest.raises(SystemExit) as exc:  # exit status 1, the message on stderr
-        main(["modify-demo", "--config", cfg, "--out", str(out), "--seed", "5"])
-    summary = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
+    assert main(["modify-demo", "--config", cfg, "--out", str(out), "--seed", "5"]) == 1
+    stdout, stderr = capsys.readouterr()
+    summary = ast.literal_eval(stdout.splitlines()[0])
     assert summary["instances"] == 0 and summary["attempts"] == summary["gate_failures"] > 0
-    assert exc.value.code == (
+    assert stderr == (
         "fpp modify-demo: no instance passed the gates "
-        f"(attempts={summary['attempts']}, gate_failures={summary['gate_failures']})"
+        f"(attempts={summary['attempts']}, gate_failures={summary['gate_failures']})\n"
     )
     assert not out.exists()
 
