@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -413,3 +414,53 @@ def test_demo_determinism():
     b = run_modification_demo_unbounded(UNB, heavy_edge_pattern(8.0), instances=2, seed=99)
     assert [i.report_text for i in a[0]] == [i.report_text for i in b[0]]
     assert a[1] == b[1]
+
+
+def _edge_tuples(edges, graph):
+    """A plan's edge set as sorted edge tuples."""
+    return sorted(edges)
+
+
+GOLDEN_PLANS = {
+    "bounded": "473e8eb55174f6409c64d03eef352018f8c2da5991d8727cf5d57f95434b39c7",
+    "unbounded": "6c2fac3e7d552260f30bc0348470556e73515086b867fd78a95a93fcdfc98d68",
+}
+
+
+def test_plans_keep_their_golden_digests():
+    # every edge set as sorted tuples, the anchors, the report texts and the
+    # spliced fields' bytes of the first bounded and unbounded plans
+    got = {}
+    family, cs, region, box, x, mu, instances = _bounded_instances(2)
+    h = hashlib.sha256()
+    for f, gamma, stage1, donor1, plan, graph in instances:
+        donor2 = graph.field_from(graph.sample_weights(ORIENT_SPEC, 5000 + f.seed, plan.target2))
+        rep, star, dstar = verify_modification_bounded(plan, f, donor1, donor2, x, cs, cap=16, mu_oracle=mu)
+        sets = [stage1.e_star_plus, plan.e_star_plus, plan.e_pp, plan.e_pm, plan.e_pat]
+        h.update(repr([_edge_tuples(s, graph) for s in sets]).encode())
+        h.update(repr([sorted(plan.ball0), sorted(plan.ballx), sorted(plan.anchors.items())]).encode())
+        h.update(rep.to_text().encode())
+        h.update(hashlib.sha256(star.w.tobytes() + dstar.w.tobytes()).digest())
+    got["bounded"] = h.hexdigest()
+    cube, constants, box, x, region, graph = _demo_setup(0)
+    h, plans = hashlib.sha256(), 0
+    for seed in range(30):
+        f = graph.field_from(graph.sample_weights(UNB, seed), seed=seed)
+        gamma = first_lex_geodesic((0, 0), x, f, graph=graph)
+        try:
+            plan = build_plan_unbounded(f, gamma, box, cube, constants, nu_N=3000.0)
+        except PlanError:
+            continue
+        donor = graph.field_from(graph.sample_weights(UNB, 31337 + seed, plan.target))
+        rep, star = verify_modification_unbounded(plan, f, donor, x, cap=64)
+        sets = [plan.e_plus, plan.e_minus, plan.b2_edges]
+        h.update(repr([_edge_tuples(s, graph) for s in sets]).encode())
+        h.update(repr([plan.u, plan.v, plan.u_end, plan.v_end, plan.pi.vertices]).encode())
+        h.update(rep.to_text().encode())
+        h.update(hashlib.sha256(star.w.tobytes()).digest())
+        plans += 1
+        if plans == 3:
+            break
+    got["unbounded"] = h.hexdigest()
+    assert len(instances) == 2 and plans == 3
+    assert got == GOLDEN_PLANS
