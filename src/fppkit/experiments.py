@@ -338,9 +338,9 @@ def run_typical_rate(
             s = derive_seed(seed, "typical", N, k)
             f = graph.field_from(graph.sample_weights(spec, s))
             if regime == "unbounded":
-                rep = typicality_unbounded(box, f, constants, nu_N=nu_N, pair_sample=pair_sample, graph=graph)
+                rep = typicality_unbounded(box, f, constants, nu_N=nu_N, pair_sample=pair_sample)
             else:
-                rep = typicality_bounded(box, f, constants, mu_oracle, pair_sample=pair_sample, graph4=graph)
+                rep = typicality_bounded(box, f, constants, mu_oracle, pair_sample=pair_sample)
             row = dict(experiment="typical_rate", N=N, trial=k, seed=s,
                        typical=int(rep.typical))
             for i, c in enumerate(rep.clauses, 1):
@@ -414,7 +414,7 @@ def run_modification_demo_unbounded(
         attempts += 1
         s = derive_seed(seed, "demo", k)
         f = graph.field_from(graph.sample_weights(spec, s), seed=s)
-        gamma = first_lex_geodesic(zero, x, f, graph=graph)
+        gamma = first_lex_geodesic(zero, x, f)
         if not crosses(gamma, box):
             gate_fail += 1
             continue
@@ -430,7 +430,7 @@ def run_modification_demo_unbounded(
         if t_uw < (rho + delta) * l1(u, wvert) or t_wv < (rho + delta) * l1(wvert, v):
             gate_fail += 1
             continue
-        if sum(f.times_at(b2_edges).tolist()) >= nu_N:
+        if sum(f.w[b2_edges].tolist()) >= nu_N:
             gate_fail += 1
             continue
         try:
@@ -439,7 +439,7 @@ def run_modification_demo_unbounded(
             gate_fail += 1
             continue
         donor = graph.field_from(graph.sample_weights(spec, derive_seed(seed, "donor", k), plan.target))
-        rep, _ = verify_modification_unbounded(plan, f, donor, x, cap=cap, graph=graph)
+        rep, _ = verify_modification_unbounded(plan, f, donor, x, cap=cap)
         rep.below_thresholds = True  # radii overridden below the derived thresholds
         out.append(
             DemoInstance(s, attempts, rep.to_text(), rep.all_passed, len(rep.failures()))

@@ -11,10 +11,11 @@ index, axis) table of edge ids.
 
 A graph is arrays, and builds tuples only when a caller asks for them.
 Its edges are `EdgeArrays` (lower endpoints and axes); the `EdgeList` of
-their tuples is built on first use.  Every function that takes edges reads
-the arrays when given `EdgeArrays` and converts tuples otherwise (0.06 s
-per call on the orientation cube).  The arrays hold no reference back to
-the graph, so a graph is freed as soon as it is dropped.
+their tuples is built on first use.  A set of a graph's edges is an
+ascending array of its ids, as `edges_within` returns and `splice` takes.
+Functions that take edge tuples convert them (0.06 s per call on the
+orientation cube) and read the arrays when given `EdgeArrays`.  The arrays
+hold no reference back to the graph, so a graph is freed when dropped.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ class RegionGraph:
         eid[has] = np.arange(np.count_nonzero(has))
         self._eid = np.ascontiguousarray(eid[:, ::-1])
         lower, rank = np.nonzero(has)
-        self._ends = (lower, up[has])
+        self.ends = (lower, up[has])  # each edge's (lower, upper) vertex indices
         self.arrays = EdgeArrays(self.coords[lower], d - 1 - rank)
         self.lower, self.axis = self.arrays.lower, self.arrays.axis  # (edges x d) lower endpoints, axes
 
@@ -396,7 +397,7 @@ class RegionGraph:
     def edges(self) -> EdgeList:
         """The edge tuples in edge order; they share the vertex tuples."""
         vs = list(self.vertices)
-        return EdgeList(list(zip(*(map(vs.__getitem__, ends.tolist()) for ends in self._ends))), self.arrays)
+        return EdgeList(list(zip(*(map(vs.__getitem__, ends.tolist()) for ends in self.ends))), self.arrays)
 
     def edge_id(self, e: Edge) -> int:
         """Id of the canonical edge e, -1 when it is not an edge of the region."""
@@ -413,20 +414,17 @@ class RegionGraph:
         that edge is not in the region."""
         return self.arrays.ids_at(lower, axis)
 
-    def edges_within(self, region: Region) -> EdgeList:
-        """The edges of a sub-region, in its own edge order, read off this
-        index; ValueError when a vertex of the sub-region lies outside."""
+    def edges_within(self, region: Region) -> np.ndarray:
+        """The ascending ids of a sub-region's edges (its own edge order);
+        ValueError when a vertex of the sub-region lies outside."""
         inside = region.mask(self.coords)
         if np.count_nonzero(inside) != len(region.coords()):
             raise ValueError(f"{region} sticks out of {self.region}")
-        lower, upper = self._ends
-        ids = np.flatnonzero(inside[lower] & inside[upper])
-        ends = (vertex_tuples(self.coords[v[ids]]) for v in (lower, upper))
-        return EdgeList(list(zip(*ends)), EdgeArrays(self.lower[ids], self.axis[ids]))
+        return np.flatnonzero(inside[self.ends[0]] & inside[self.ends[1]])
 
     def boundary_indices(self) -> frozenset[int]:
         """Vertices with a lattice neighbour outside the region."""
-        degree = np.bincount(np.concatenate(self._ends), minlength=self.n)
+        degree = np.bincount(np.concatenate(self.ends), minlength=self.n)
         return frozenset(np.flatnonzero(degree < 2 * self.region.dim).tolist())
 
     @cached_property
@@ -434,7 +432,7 @@ class RegionGraph:
         """Every directed arc as (tail, head, edge id) arrays, grouped by
         tail in direction order e1 < -e1 < e2 < ...: the arc along +e_a has
         rank 2a, the arc along -e_a rank 2a + 1."""
-        lower, upper = self._ends
+        lower, upper = self.ends
         ids = np.arange(len(lower))
         head = np.full((self.n, self.region.dim, 2), -1, dtype=np.intp)
         edge = head.copy()
@@ -593,13 +591,19 @@ def constraint_probability(spec: DistributionSpec, constraints: EdgeConstraintSe
     return math.prod(chain.from_iterable(masses), start=1.0)
 
 
-def splice(base: WeightField, donor: WeightField, edges: Iterable[Edge]) -> WeightField:
-    """Pointwise selection: donor's times on the given edges, base elsewhere."""
-    edges = edges if isinstance(edges, EdgeArrays) else [canonical_edge(*e) for e in edges]
-    ids = _checked(edges, base.graph.edge_ids(edges), ValueError, "edge {} outside the base field")
+def splice(base: WeightField, donor: WeightField, edges: np.ndarray | Iterable[Edge]) -> WeightField:
+    """Pointwise selection: donor's times on the given edges, base elsewhere;
+    the edges are ids of base's graph (an integer array) or edge tuples."""
+    graph = base.graph
+    if not isinstance(edges, np.ndarray):
+        edges = [canonical_edge(*e) for e in edges]
+        edges = _checked(edges, graph.edge_ids(edges), ValueError, "edge {} outside the base field")
+    elif np.any((edges < 0) | (edges >= len(graph.axis))):
+        raise ValueError(f"edge ids outside the base field's {len(graph.axis)} edges")
     w = base.w.copy()
-    w[ids] = donor.w[ids] if donor.graph.region == base.region else donor.times_at(edges)
-    return base.graph.field_from(w, base.seed)
+    same = donor.graph.region == base.region
+    w[edges] = donor.w[edges] if same else donor.times_at(EdgeArrays(graph.lower[edges], graph.axis[edges]))
+    return graph.field_from(w, base.seed)
 
 
 def constant_field(region: Region, value: float) -> WeightField:

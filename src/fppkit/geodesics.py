@@ -386,7 +386,7 @@ class ExtremalLengths:
         return self.lmax - self.lmin
 
 
-def _resolve(field: WeightField, region: Region | None, graph: RegionGraph | None):
+def _resolve(field: WeightField, region: Region | None, graph: RegionGraph | None = None):
     """The graph to search (the field's own unless another region is asked
     for) and the field's weights on it."""
     if graph is None:

@@ -253,6 +253,10 @@ class Region:
     def contains_edge(self, e: Edge) -> bool:
         return self.contains(e[0]) and self.contains(e[1])
 
+    def edge_mask(self, lower: np.ndarray, axis: np.ndarray) -> np.ndarray:
+        """contains_edge, for each edge {lower[i], lower[i] + e_axis[i]}."""
+        return self.mask(lower) & self.mask(lower + np.eye(self.dim, dtype=np.int64)[axis])
+
 
 def vertex_tuples(coords: np.ndarray) -> list[Vertex]:
     """The rows of an (n x d) integer array as tuples of Python ints, built

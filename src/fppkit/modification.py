@@ -10,9 +10,10 @@ of the geodesic between B3 and B2, the second installs an oriented
 highway with the pattern on its central step and walls around it.
 
 Plans are built from an explicit (geodesic, box) pair; the probabilistic
-selection scaffolding of the proofs is out of scope.  verify_* functions
-re-check every guaranteed property on concrete instances and report
-each one separately.
+selection scaffolding of the proofs is out of scope.  A plan's edge sets
+are ascending ids of its field's graph, which it keeps and whose region
+every field it is applied to must have.  verify_* functions re-check every
+guaranteed property on concrete instances and report each one separately.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import EdgeConstraintSet, WeightField, splice
+from .fields import EdgeConstraintSet, WeightField, _checked, splice
 from .geodesics import (
     RegionGraph,
-    _resolve,
     dijkstra,
     enumerate_geodesics,
     first_lex_geodesic,
     restricted_geodesic_time,
 )
 from .lattice import (
-    Edge,
     LatticePath,
     LInfBall,
     Region,
@@ -42,9 +41,9 @@ from .lattice import (
     l1,
     linf,
     monotone_path,
+    neighbors,
     unit,
     vadd,
-    vertex_tuples,
     vneg,
     vscale,
     vsub,
@@ -56,6 +55,18 @@ from .tolerance import at_least, close, le, lt
 
 class PlanError(Exception):
     """A required anchor or precondition of a modification plan failed."""
+
+
+def _path_ids(graph: RegionGraph, path: LatticePath) -> np.ndarray:
+    """The ids of the path's edges in graph, in path order."""
+    edges = path.edges()
+    return _checked(edges, graph.edge_ids(edges), ValueError, f"path edge {{}} lies outside {graph.region}")
+
+
+def _check_field(graph: RegionGraph, f: WeightField) -> None:
+    """A plan's edge ids index only fields on the region of its graph."""
+    if f.region != graph.region:
+        raise ValueError(f"the plan indexes edges of {graph.region}, not of the field's {f.region}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +393,13 @@ class PlanUnbounded:
     pi_v: LatticePath
     u_end: Vertex
     v_end: Vertex
-    e_plus: frozenset[Edge]
-    e_minus: frozenset[Edge]
+    graph: RegionGraph  # the field's graph, whose edge ids the sets hold
+    e_plus: np.ndarray
+    e_minus: np.ndarray
     target: EdgeConstraintSet  # event for the donor environment on B2 edges
     nu_N: float
     delta_prime: float
-    b2_edges: list[Edge]  # the spliced edges, in edge order
+    b2_edges: np.ndarray  # the spliced edges
 
     def dump(self) -> str:
         return "\n".join(
@@ -427,25 +439,23 @@ def build_plan_unbounded(
     pi, pi_u, pi_v = connector_path_unbounded(
         u, v, box.s, box.N, lam, u_end, v_end, box.radii[1]
     )
-    cube = LInfBall(center, lam)
-    pi_edges = set(pi.edges())
-    cube_edges = {e for e in pi_edges if cube.contains_edge(e)}
-    e_minus = frozenset(pi_edges - cube_edges)
     graph = f.graph
     b2_edges = graph.edges_within(b2)
-    e_plus = frozenset(set(b2_edges) - set(graph.edges_within(cube)) - pi_edges)
+    pi_edges, cube_edges = _path_ids(graph, pi), graph.edges_within(LInfBall(center, lam))
+    e_minus = np.setdiff1d(pi_edges, cube_edges)
+    e_plus = np.setdiff1d(b2_edges, np.union1d(cube_edges, pi_edges))
     nu_val = nu_N if nu_N is not None else constants.nu_of_N.get(box.N)
     if nu_val is None:
         raise PlanError(f"no nu(N) for N={box.N}")
     cheap = constants.rho + constants.delta_prime
     target = (
-        EdgeConstraintSet.on_graph(graph, nu_val, math.inf, graph.edge_ids(e_plus))
-        .merged_with(EdgeConstraintSet.on_graph(graph, 0.0, cheap, graph.edge_ids(e_minus)))
+        EdgeConstraintSet.on_graph(graph, nu_val, math.inf, e_plus)
+        .merged_with(EdgeConstraintSet.on_graph(graph, 0.0, cheap, e_minus))
         .merged_with(pattern.event.translate(vneg(center)))
     )
     return PlanUnbounded(
         box, pattern, gamma, u, v, pi, pi_u, pi_v, u_end, v_end,
-        e_plus, e_minus, target, nu_val, constants.delta_prime, b2_edges,
+        graph, e_plus, e_minus, target, nu_val, constants.delta_prime, b2_edges,
     )
 
 
@@ -496,20 +506,20 @@ def verify_modification_unbounded(
     donor: WeightField,
     x: Vertex,
     cap: int = 512,
-    graph: RegionGraph | None = None,
 ) -> tuple[VerificationReport, WeightField]:
     """Re-check every rerouting clause on a concrete instance.
 
     The donor must satisfy the plan's target event (tampering refused);
     the spliced field replaces every B2 edge with the donor's time.
     """
+    _check_field(plan.graph, f)
     if not plan.target.satisfied_by(donor):
         raise PlanError("donor field does not satisfy the target event")
     rep = VerificationReport()
     star = splice(f, donor, plan.b2_edges)
     zero = (0,) * len(x)
-    t_old, _ = restricted_geodesic_time(zero, x, f, graph=graph)
-    t_new, star_dag = restricted_geodesic_time(zero, x, star, graph=graph)
+    t_old, _ = restricted_geodesic_time(zero, x, f)
+    t_new, star_dag = restricted_geodesic_time(zero, x, star)
     gamma = plan.gamma
     b2, b3 = plan.box.ball(2), plan.box.outer
     cube = LInfBall(plan.box.center, plan.pattern.region.radius)
@@ -626,7 +636,8 @@ class Stage1Bounded:
 
     box: BoxScale
     gamma: LatticePath
-    e_star_plus: frozenset[Edge]
+    graph: RegionGraph  # the field's graph, whose edge ids e_star_plus holds
+    e_star_plus: np.ndarray
     target1: EdgeConstraintSet  # event for donor 1 (T')
     anchors: dict[str, Vertex]  # u, v, u0, v0, c0, s1, s2
 
@@ -639,15 +650,16 @@ class PlanBounded:
     gamma: LatticePath
     anchors: dict[str, Vertex]
     pi: LatticePath
-    e_star_plus: frozenset[Edge]
-    e_pp: frozenset[Edge]  # E**_+
-    e_pm: frozenset[Edge]  # E**_-
-    e_pat: frozenset[Edge]  # E**_P
+    graph: RegionGraph  # the field's graph, whose edge ids the sets hold
+    e_star_plus: np.ndarray
+    e_pp: np.ndarray  # E**_+
+    e_pm: np.ndarray  # E**_-
+    e_pat: np.ndarray  # E**_P
     target1: EdgeConstraintSet  # event for donor 1 (T')
     target2: EdgeConstraintSet  # event for donor 2 (T'')
     c_pat: Vertex
-    ball0: frozenset[Vertex]
-    ballx: frozenset[Vertex]
+    ball0: np.ndarray  # vertex masks of the two B* balls
+    ballx: np.ndarray
 
     def dump(self) -> str:
         rows = [
@@ -677,22 +689,20 @@ def first_stage_bounded(
     u, v = ee3
     u0, v0 = ee2
     rho, delta, delta_p = constants.rho, constants.delta, constants.delta_prime
-    e_star_plus = set()
-    for seg in (gamma.subpath(u, u0), gamma.subpath(v0, v)):
-        for e in seg.edges():
-            if b3.contains_edge(e) and not b2.contains_edge(e) and f.time(e) > rho + delta:
-                e_star_plus.add(e)
-    if not e_star_plus:
+    graph = f.graph
+    legs = np.concatenate([_path_ids(graph, gamma.subpath(u, u0)), _path_ids(graph, gamma.subpath(v0, v))])
+    lower, axis = graph.lower[legs], graph.axis[legs]
+    heavy = b3.edge_mask(lower, axis) & ~b2.edge_mask(lower, axis) & (f.w[legs] > rho + delta)
+    e_star_plus = np.unique(legs[heavy])
+    if not len(e_star_plus):
         raise PlanError("anchor s1/s2 undefined: no first-stage heavy edges")
-    gamma_edges = gamma.edges()
-    first_idx = min(i for i, e in enumerate(gamma_edges) if e in e_star_plus)
-    last_idx = max(i for i, e in enumerate(gamma_edges) if e in e_star_plus)
-    s1 = gamma.vertices[first_idx]
-    s2 = gamma.vertices[last_idx + 1]
+    taken = np.flatnonzero(np.isin(_path_ids(graph, gamma), e_star_plus))
+    s1 = gamma.vertices[taken[0]]
+    s2 = gamma.vertices[taken[-1] + 1]
     c0 = next(z for z in gamma.vertices if b1.contains(z))
-    target1 = EdgeConstraintSet.on_graph(f.graph, 0.0, rho + delta_p, f.graph.edge_ids(e_star_plus))
+    target1 = EdgeConstraintSet.on_graph(graph, 0.0, rho + delta_p, e_star_plus)
     anchors = dict(u=u, v=v, u0=u0, v0=v0, c0=c0, s1=s1, s2=s2)
-    return Stage1Bounded(box, gamma, frozenset(e_star_plus), target1, anchors)
+    return Stage1Bounded(box, gamma, graph, e_star_plus, target1, anchors)
 
 
 def _nabla_alpha(constants: ConstantsSet) -> tuple[float, float]:
@@ -710,7 +720,6 @@ def build_plan_bounded(
     oriented_family: dict[int, OrientedPattern],
     constants: ConstantsSet,
     mu_oracle,
-    region: Region | None = None,
 ) -> PlanBounded:
     """Second modification on top of T* = (T with E*+ resampled by T').
 
@@ -723,6 +732,8 @@ def build_plan_bounded(
     raises PlanError naming it.
     """
     nabla, _ = _nabla_alpha(constants)
+    graph = stage1.graph
+    _check_field(graph, f)
     if not stage1.target1.satisfied_by(donor1):
         raise PlanError("donor T' does not satisfy the first-stage event")
     box, gamma = stage1.box, stage1.gamma
@@ -742,20 +753,18 @@ def build_plan_bounded(
         raise PlanError("anchor c_P undefined: connector has no full step")
     pi = conn.path
 
-    star = splice(f, donor1, stage1.e_star_plus)
-    graph, w_star = _resolve(star, region, None)
+    w_star = splice(f, donor1, stage1.e_star_plus).w
     dist0 = dijkstra(graph, w_star, graph.vindex[zero])
     distx = dijkstra(graph, w_star, graph.vindex[gamma.end])
     # gamma stays a T*-geodesic, so T*(gamma_{0,u1}) = t*(0, u1)
-    t0u1 = dist0[graph.vindex[u1]]
-    tv1x = distx[graph.vindex[v1]]
-    ball0 = frozenset(vertex_tuples(graph.coords[le(dist0, t0u1)]))
-    ballx = frozenset(vertex_tuples(graph.coords[le(distx, tv1x)]))
-    u2 = next((z for z in reversed(pi.vertices) if z in ball0), None)
-    v2 = next((z for z in pi.vertices if z in ballx), None)
-    if u2 is None or v2 is None:
+    ball0 = le(dist0, dist0[graph.vindex[u1]])
+    ballx = le(distx, distx[graph.vindex[v1]])
+    pi_at = np.array([graph.vindex.get(z, graph.n) for z in pi.vertices])  # n: off the graph
+    in0, inx = (np.flatnonzero(np.r_[ball, False][pi_at]) for ball in (ball0, ballx))
+    if not len(in0) or not len(inx):
         raise PlanError("anchor u2/v2 undefined: connector misses a B* ball")
-    i_u2, i_v2 = pi.index_of(u2), pi.index_of(v2)
+    i_u2, i_v2 = in0[-1], inx[0]
+    u2, v2 = pi.vertices[i_u2], pi.vertices[i_v2]
     if i_u2 >= i_v2:
         raise PlanError("anchor u2/v2 undefined: B* balls interleave on the connector")
 
@@ -780,8 +789,7 @@ def build_plan_bounded(
     oriented = oriented_family.get(axis)
     if oriented is None:
         raise PlanError(f"no oriented pattern for direction {axis + 1}")
-    cube = LInfBall(c_pat, oriented.l0)
-    e_pat = frozenset(graph.edges_within(cube))
+    e_pat = graph.edges_within(LInfBall(c_pat, oriented.l0))
     sign = 1 if signed_axis > 0 else -1
     u3 = vadd(c_pat, unit(d, axis, -sign * oriented.l0))
     v3 = vadd(c_pat, unit(d, axis, sign * oriented.l0))
@@ -790,29 +798,30 @@ def build_plan_bounded(
         seg_v = pi.subpath(v3, v2)
     except ValueError:
         raise PlanError("anchor u3/v3 undefined: pattern step escapes the u2-v2 window") from None
-    highway = set(seg_u.edges()) | set(seg_v.edges())
-    e_pp = frozenset(e for e in highway if u2 not in e and v2 not in e)
+    highway = np.concatenate([_path_ids(graph, seg_u), _path_ids(graph, seg_v)])
+    at_ends = graph.edge_ids([(z, y) for z in (u2, v2) for y in neighbors(z)])
+    e_pp = np.setdiff1d(highway, at_ends)
     nu = constants.m_pattern  # the bounded cap nu fixed with the oriented pattern
-    e_pm = frozenset(
-        e
-        for e in graph.edges_within(b2)
-        if f.time(e) < nu
-        and e not in e_pat
-        and e not in highway
-        and not (e[0] in ball0 and e[1] in ball0)
-        and not (e[0] in ballx and e[1] in ballx)
-    )
+    b2_edges = graph.edges_within(b2)
+    lower, upper = (ends[b2_edges] for ends in graph.ends)
+    e_pm = b2_edges[
+        (f.w[b2_edges] < nu)
+        & ~np.isin(b2_edges, e_pat)
+        & ~np.isin(b2_edges, highway)
+        & ~(ball0[lower] & ball0[upper])
+        & ~(ballx[lower] & ballx[upper])
+    ]
     # the pattern event translated so the oriented pattern sits at c_pat
     target2 = (
-        EdgeConstraintSet.on_graph(graph, 0.0, rho + delta_p, graph.edge_ids(e_pp))
-        .merged_with(EdgeConstraintSet.on_graph(graph, nu, constants.t_max, graph.edge_ids(e_pm)))
+        EdgeConstraintSet.on_graph(graph, 0.0, rho + delta_p, e_pp)
+        .merged_with(EdgeConstraintSet.on_graph(graph, nu, constants.t_max, e_pm))
         .merged_with(oriented.pattern.event.translate(vneg(c_pat)))
     )
     anchors = dict(stage1.anchors)
     anchors.update(u1=u1, v1=v1, u2=u2, v2=v2, u3=u3, v3=v3, c_P=c_pat)
     return PlanBounded(
         box, oriented, signed_axis, gamma, anchors, pi,
-        stage1.e_star_plus, e_pp, e_pm, e_pat,
+        graph, stage1.e_star_plus, e_pp, e_pm, e_pat,
         stage1.target1, target2, c_pat, ball0, ballx,
     )
 
@@ -835,45 +844,34 @@ def verify_modification_bounded(
     'clause false' from 'constants below the derived thresholds'.
     """
     nabla, alpha = _nabla_alpha(constants)
+    graph = plan.graph
+    _check_field(graph, f)
     for tgt, donor, name in ((plan.target1, donor1, "T'"), (plan.target2, donor2, "T''")):
         if not tgt.satisfied_by(donor):
             raise PlanError(f"donor {name} does not satisfy its target event")
     rep = VerificationReport(below_thresholds=below_thresholds)
     zero = (0,) * len(x)
     star = splice(f, donor1, plan.e_star_plus)
-    dd = sorted(plan.e_pp | plan.e_pm | plan.e_pat)
-    dstar = splice(star, donor2, dd)
+    second = np.concatenate([plan.e_pp, plan.e_pm, plan.e_pat])
+    dstar = splice(star, donor2, second)
     gamma = plan.gamma
     t_old, _ = restricted_geodesic_time(zero, x, f)
     t_star, star_dag = restricted_geodesic_time(zero, x, star)
     t_dd, dstar_dag = restricted_geodesic_time(zero, x, dstar)
 
     b2, b3, b4 = plan.box.ball(2), plan.box.ball(3), plan.box.outer
-    disjoint = (
-        not (plan.e_star_plus & plan.e_pp)
-        and not (plan.e_star_plus & plan.e_pm)
-        and not (plan.e_star_plus & plan.e_pat)
-        and not (plan.e_pp & plan.e_pm)
-        and not (plan.e_pp & plan.e_pat)
-        and not (plan.e_pm & plan.e_pat)
-    )
-    rep.add("E-sets pairwise disjoint", disjoint)
-    rep.add(
-        "second-stage sets inside B2",
-        all(b2.contains_edge(e) for e in (plan.e_pp | plan.e_pm | plan.e_pat)),
-    )
+    every = np.concatenate([plan.e_star_plus, second])  # each set holds an edge once
+    rep.add("E-sets pairwise disjoint", len(np.unique(every)) == len(every))
+    rep.add("second-stage sets inside B2", b2.edge_mask(graph.lower[second], graph.axis[second]).all())
+    lower, axis = graph.lower[plan.e_star_plus], graph.axis[plan.e_star_plus]
     rep.add(
         "E*+ inside B3 minus B2 on gamma",
-        all(
-            b3.contains_edge(e) and not b2.contains_edge(e) for e in plan.e_star_plus
-        )
-        and plan.e_star_plus <= set(gamma.edges()),
+        (b3.edge_mask(lower, axis) & ~b2.edge_mask(lower, axis)).all()
+        and np.isin(plan.e_star_plus, _path_ids(graph, gamma)).all(),
     )
-    n_before = sum(
-        1 for e in gamma.subpath(plan.anchors["u"], plan.anchors["u0"]).edges() if e in plan.e_star_plus
-    )
-    n_after = sum(
-        1 for e in gamma.subpath(plan.anchors["v0"], plan.anchors["v"]).edges() if e in plan.e_star_plus
+    n_before, n_after = (
+        int(np.isin(_path_ids(graph, gamma.subpath(plan.anchors[a], plan.anchors[b])), plan.e_star_plus).sum())
+        for a, b in (("u", "u0"), ("v0", "v"))
     )
     floor = alpha * (plan.box.radii[2] - plan.box.radii[1]) * plan.box.N
     rep.add(
@@ -888,7 +886,7 @@ def verify_modification_bounded(
     stars = star_dag.geodesics(cap)
     rep.add(
         "every T*-geodesic takes every E*+ edge",
-        all(plan.e_star_plus <= set(g.edges()) for g in stars.paths),
+        all(np.isin(plan.e_star_plus, _path_ids(graph, g)).all() for g in stars.paths),
         f"{len(stars.paths)} T*-geodesics",
     )
     if mu_oracle is not None:
@@ -915,11 +913,7 @@ def verify_modification_bounded(
     rep.approximate = stars.truncated or dds.truncated
     s1, s2 = plan.anchors["s1"], plan.anchors["s2"]
     # the pin clause concerns edges whose time was REDUCED by the modification
-    changed = {
-        e
-        for e in (plan.e_star_plus | plan.e_pp | plan.e_pm | plan.e_pat)
-        if not at_least(dstar.time(e), f.time(e))
-    }
+    changed = every[~at_least(dstar.w[every], f.w[every])]
     ok_s1s2 = True
     ok_pi_order = True
     ok_pattern = True
@@ -927,9 +921,8 @@ def verify_modification_bounded(
     seg_u_set = set(plan.pi.subpath(u2, plan.anchors["u3"]).vertices)
     seg_v_set = set(plan.pi.subpath(plan.anchors["v3"], v2).vertices)
     for g in dds.paths:
-        edges = g.edges()
-        touched = [i for i, e in enumerate(edges) if e in changed]
-        if not touched or g.vertices[touched[0]] != s1 or g.vertices[touched[-1] + 1] != s2:
+        touched = np.flatnonzero(np.isin(_path_ids(graph, g), changed))
+        if not len(touched) or g.vertices[touched[0]] != s1 or g.vertices[touched[-1] + 1] != s2:
             ok_s1s2 = False
         on_legs = [i for i, z in enumerate(g.vertices) if z in seg_u_set or z in seg_v_set]
         if not on_legs or g.vertices[on_legs[0]] not in seg_u_set or g.vertices[on_legs[-1]] not in seg_v_set:

@@ -61,8 +61,7 @@ class Pattern:
         for z in (self.u_end, self.v_end):
             if not region.contains(z) or all(map(region.contains, neighbors(z))):
                 raise ValueError("endpoints must lie on the support boundary")
-        upper = event.lower + np.eye(region.dim, dtype=np.int64)[event.axis]
-        bad = np.flatnonzero(~(region.mask(event.lower) & region.mask(upper)))
+        bad = np.flatnonzero(~region.edge_mask(event.lower, event.axis))
         if len(bad):
             edges = [self.event.edge(i) for i in bad[:3]]
             raise ValueError(f"event constrains edges outside the support: {edges}")
@@ -414,7 +413,7 @@ def shift_concavity_properties(p: Pattern, f: WeightField, cap: int = 4096) -> t
     """
     plus, _ = p.routes
     inner = p.inner
-    graph, w = _resolve(f, p.region, None)
+    graph, w = _resolve(f, p.region)
     opt = GeodesicDag.between(graph, w, p.u_end, p.v_end).geodesics(cap)
     p1 = (not opt.truncated) and len(opt.paths) == 1 and opt.paths[0] == plus
 

@@ -427,7 +427,6 @@ def typicality_unbounded(
     r23: float | None = None,
     nu_N: float | None = None,
     pair_sample: int | None = None,
-    graph: RegionGraph | None = None,
 ) -> TypicalityReport:
     """The three unbounded clauses on B3 = box.outer.
 
@@ -449,8 +448,7 @@ def typicality_unbounded(
     nu_N = nu_N if nu_N is not None else constants.nu_of_N.get(N)
     if nu_N is None:
         raise ValueError(f"no nu(N) available for N={N}")
-    b3 = box.outer
-    graph, w = _resolve(f, b3, graph)
+    graph, w = _resolve(f, box.outer)
     center = graph.vindex[box.center]
     dist = dijkstra(graph, w, center)
     b2 = box.ball(2)
@@ -476,7 +474,7 @@ def typicality_unbounded(
     if pair_sample is not None and pair_sample < graph.n:
         name2 += f" [subsampled {len(sources)} sources]"
     c2 = ClauseReport(name2, not witness, witness)
-    total = sum(f.times_at(graph.edges_within(b2)).tolist())
+    total = sum(w[graph.edges_within(b2)].tolist())
     c3 = ClauseReport("(iii) B2 weight sum", total < nu_N, f"sum={total:.6g} vs nu(N)={nu_N:.6g}")
     below = constants.r2 > r2 or constants.r3 > box.radii[2]
     return TypicalityReport(box, (c1, c2, c3), below)
@@ -496,7 +494,6 @@ def typicality_bounded(
     constants: ConstantsSet,
     mu_oracle,
     pair_sample: int | None = None,
-    graph4: RegionGraph | None = None,
 ) -> TypicalityReport:
     """The three bounded clauses.
 
@@ -518,7 +515,7 @@ def typicality_bounded(
         raise ValueError("the bounded clauses need constants.alpha and constants.epsilon")
     r1, r2, r3, r4 = box.radii
     N, alpha, eps = box.N, constants.alpha, constants.epsilon
-    graph4, w4 = _resolve(f, box.outer, graph4)
+    graph4, w4 = _resolve(f, box.outer)
     vs = graph4.vertices
     threshold = constants.rho + constants.delta
     heavy = at_least(w4, threshold)

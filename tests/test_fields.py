@@ -101,7 +101,8 @@ def test_region_graph_matches_membership_tests(region):
         assert graph.edge_ids(flipped).tolist() == list(range(len(graph.edges)))
     boundary = {v for v in graph.vertices if any(not region.contains(w) for w in neighbors(v))}
     assert {graph.vertices[i] for i in graph.boundary_indices()} == boundary
-    assert RegionGraph(box_containing(graph.vertices, pad=1)).edges_within(region) == graph.edges
+    big = RegionGraph(box_containing(graph.vertices, pad=1))
+    assert [big.arrays[i] for i in big.edges_within(region)] == graph.edges
 
 
 def _built(graph: RegionGraph) -> bool:
@@ -128,10 +129,12 @@ def test_vertex_and_edge_views_equal_an_eager_reference(region):
     assert views[0][-1] == vs[-1] and views[0][1:-1:2] == vs[1:-1:2]
     assert all(views[1][v] == i and views[1].get(v) == i and v in views[1] for v, i in index.items())
     assert len(views[1]) == len(vs) and list(views[1]) == vs and dict(views[1]) == index
-    within = RegionGraph(box_containing(vs, pad=1)).edges_within(region)
-    assert within == edges and within.lower.tolist() == [list(u) for u, _ in edges]
+    big = RegionGraph(box_containing(vs, pad=1))
+    within = big.edges_within(region)
+    assert [big.arrays[i] for i in within] == edges and big.lower[within].tolist() == [list(u) for u, _ in edges]
     assert not _built(graph)  # item by item and by lookup so far
-    assert graph.edges == edges and graph.edges_within(region) == edges and list(graph.vertices) == vs
+    assert graph.edges_within(region).tolist() == list(range(len(edges)))
+    assert graph.edges == edges and list(graph.vertices) == vs
     assert graph.vertices == vs and vs == graph.vertices and graph.vertices != vs[:-1]
     # off the region: just off each face (the padding row above the top face
     # included), below bounds.lo, one table width away on each axis (a
@@ -206,6 +209,7 @@ def test_splice_and_sub_region_gather_match_a_dict_reference(inst, data):
     picked = data.draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []
     spliced = splice(f, donor, picked)
     assert _matches(spliced, {**ref, **{e: donor.time(e) for e in picked}})
+    assert splice(f, donor, f.graph.edge_ids(picked)).w.tobytes() == spliced.w.tobytes()
     assert _matches(splice(f, f.shift(1.0), picked), {**ref, **{e: ref[e] + 1.0 for e in picked}})
 
     sub = ProductBox(tuple(data.draw(st.integers(a, b)) for a, b in zip(lo, hi)), hi)
@@ -239,6 +243,9 @@ def test_edges_outside_the_field_fail_loudly():
         f.replaced({outside: 1.0})
     with pytest.raises(ValueError, match="outside the base field"):
         splice(f, f, [outside])
+    for ids in ([-1], [len(f.w)]):
+        with pytest.raises(ValueError, match="outside the base field"):
+            splice(f, f, np.array(ids))
     assert f.graph.edge_id(outside) == -1
     assert f.graph.edge_ids([((0, 0), (2, 0)), ((1, 0), (0, 0))]).tolist() == [-1, f.graph.edge_id(((0, 0), (1, 0)))]
 
@@ -359,7 +366,7 @@ def test_a_partial_event_draws_free_edges_from_the_unconditioned_law(spec):
 
 def test_edges_within_refuses_a_sub_region_that_sticks_out():
     graph = RegionGraph(ProductBox((0, 0), (4, 4)))
-    assert graph.edges_within(L1Ball((2, 2), 2)) == region_edges(L1Ball((2, 2), 2))
+    assert [graph.arrays[i] for i in graph.edges_within(L1Ball((2, 2), 2))] == region_edges(L1Ball((2, 2), 2))
     for sub in (L1Ball((2, 2), 3), ProductBox((-1, 0), (2, 2)), LInfBall((4, 4), 1)):
         with pytest.raises(ValueError, match="sticks out"):
             graph.edges_within(sub)
@@ -451,12 +458,12 @@ def test_an_edge_list_samples_the_bytes_of_its_plain_copy(inst, seed):
     f = graph.field_from(got)
     assert graph.edge_ids(graph.edges).tolist() == list(range(len(graph.edges)))
     assert f.times_at(graph.edges).tobytes() == f.times_at(list(graph.edges)).tobytes() == got.tobytes()
-    within = graph.edges_within(sub)
-    assert isinstance(within, EdgeList) and within == region_edges(sub)
-    assert within.lower.tolist() == [list(u) for u, _ in within]
-    assert within.axis.tolist() == [edge_axis(e) for e in within]
-    assert edge_times_for(within, SPEC, seed).tobytes() == edge_times_for(list(within), SPEC, seed).tobytes()
-    assert splice(f, f.shift(1.0), within).w.tobytes() == splice(f, f.shift(1.0), list(within)).w.tobytes()
+    within, sub_edges = graph.edges_within(sub), RegionGraph(sub).edges
+    assert [graph.arrays[i] for i in within] == sub_edges == region_edges(sub)
+    assert sub_edges.lower.tolist() == [list(u) for u, _ in sub_edges]
+    assert sub_edges.axis.tolist() == [edge_axis(e) for e in sub_edges]
+    assert edge_times_for(sub_edges, SPEC, seed).tobytes() == edge_times_for(list(sub_edges), SPEC, seed).tobytes()
+    assert splice(f, f.shift(1.0), within).w.tobytes() == splice(f, f.shift(1.0), list(sub_edges)).w.tobytes()
 
 
 @pytest.mark.parametrize("region", [ProductBox((-2, -1), (3, 2)), L1Ball((0, 1, 0), 2)])

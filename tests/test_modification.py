@@ -7,7 +7,7 @@ import pytest
 from fppkit.distributions import DistributionSpec
 from fppkit.fields import sample_conditioned, splice
 from fppkit.geodesics import RegionGraph, exact_norm_oracle, first_lex_geodesic, restricted_geodesic_time
-from fppkit.lattice import LInfBall, ProductBox, l1
+from fppkit.lattice import LInfBall, ProductBox, l1, vertex_tuples
 from fppkit.modification import (
     PlanError,
     associated_in,
@@ -134,6 +134,11 @@ def test_associated_in():
     assert associated_in(g1, g2, ProductBox((5, 5), (6, 6))) is None
 
 
+def _edge_tuples(edges, graph):
+    """A plan's edge set, ids of graph, as sorted edge tuples."""
+    return sorted(graph.arrays[i] for i in edges)
+
+
 def _demo_setup(seed):
     base = heavy_edge_pattern(8.0)
     m_cap = 9.0 + 1.0
@@ -164,12 +169,13 @@ def test_unbounded_plan_partition_and_bounds():
         cube_edges = {
             e for e in b2_edges if LInfBall(box.center, 1).contains_edge(e)
         }
-        assert plan.e_plus | plan.e_minus | cube_edges == b2_edges
-        assert not plan.e_plus & plan.e_minus
-        assert not (plan.e_plus | plan.e_minus) & cube_edges
+        e_plus, e_minus = (set(_edge_tuples(s, graph)) for s in (plan.e_plus, plan.e_minus))
+        assert e_plus | e_minus | cube_edges == b2_edges
+        assert not e_plus & e_minus
+        assert not (e_plus | e_minus) & cube_edges
         # corridor legs respect the length bound
         K = len(region_edges(LInfBall((0, 0), 1 + 3)))
-        assert len(plan.e_minus) <= 2 * box.radii[1] * box.N + K
+        assert len(e_minus) <= 2 * box.radii[1] * box.N + K
         if found >= 5:
             break
     assert found >= 3
@@ -188,10 +194,10 @@ def test_unbounded_verify_tampering_gate():
     plan = build_plan_unbounded(f, gamma, box, cube, constants, nu_N=nu_N)
     donor = sample_conditioned(region, UNB, plan.target, 123)
     # raise one corridor edge above rho + delta': the gate must refuse
-    bad_edge = sorted(plan.e_minus)[0]
+    bad_edge = _edge_tuples(plan.e_minus, graph)[0]
     tampered = donor.replaced({bad_edge: constants.rho + constants.delta_prime + 1.0})
     with pytest.raises(PlanError):
-        verify_modification_unbounded(plan, f, tampered, x, graph=graph)
+        verify_modification_unbounded(plan, f, tampered, x)
 
 
 def _crosses_box(graph, seed, box, x):
@@ -264,7 +270,7 @@ def _bounded_instances(max_plans, seed0=0):
         try:
             stage1 = first_stage_bounded(f, gamma, box, cs)
             donor1 = sample_conditioned(region, ORIENT_SPEC, stage1.target1, 1000 + seed)
-            plan = build_plan_bounded(f, stage1, donor1, family, cs, mu, region=region)
+            plan = build_plan_bounded(f, stage1, donor1, family, cs, mu)
         except PlanError:
             continue
         out.append((f, gamma, stage1, donor1, plan, graph))
@@ -278,14 +284,17 @@ def test_bounded_first_stage_and_plan_structure():
     assert len(instances) >= 2
     b2, b3 = box.ball(2), box.ball(3)
     for f, gamma, stage1, donor1, plan, graph in instances:
-        assert stage1.e_star_plus <= set(gamma.edges())
-        for e in stage1.e_star_plus:
+        e_star_plus, e_pp, e_pm, e_pat = (
+            set(_edge_tuples(s, graph)) for s in (stage1.e_star_plus, plan.e_pp, plan.e_pm, plan.e_pat)
+        )
+        assert e_star_plus <= set(gamma.edges())
+        for e in e_star_plus:
             assert b3.contains_edge(e) and not b2.contains_edge(e)
             assert f.time(e) > cs.rho + cs.delta
-        assert not plan.e_pp & plan.e_pm and not plan.e_pp & plan.e_pat
-        assert not plan.e_pm & plan.e_pat
-        assert not plan.e_star_plus & (plan.e_pp | plan.e_pm | plan.e_pat)
-        for e in plan.e_pp | plan.e_pm | plan.e_pat:
+        assert not e_pp & e_pm and not e_pp & e_pat
+        assert not e_pm & e_pat
+        assert not e_star_plus & (e_pp | e_pm | e_pat)
+        for e in e_pp | e_pm | e_pat:
             assert b2.contains_edge(e)
         a = plan.anchors
         # the highway runs u2 .. u3 .. v3 .. v2 in connector order
@@ -310,7 +319,7 @@ def test_bounded_first_stage_exact_clauses():
         t_star, _ = restricted_geodesic_time(gamma.start, x, star, graph=graph)
         assert star.path_time(gamma) == pytest.approx(t_star)  # still a geodesic
         for g in enumerate_geodesics(gamma.start, x, star, cap=64, graph=graph).paths:
-            assert stage1.e_star_plus <= set(g.edges())  # all resampled edges taken
+            assert set(_edge_tuples(stage1.e_star_plus, graph)) <= set(g.edges())  # all resampled edges taken
 
 
 def test_bounded_verify_full_clause_run():
@@ -362,7 +371,7 @@ def test_bounded_verify_tampering_gate():
     family, cs, region, box, x, mu, instances = _bounded_instances(1)
     assert instances
     f, gamma, stage1, donor1, plan, graph = instances[0]
-    bad = sorted(plan.e_star_plus)[0]
+    bad = _edge_tuples(plan.e_star_plus, graph)[0]
     tampered = donor1.replaced({bad: cs.rho + cs.delta + 0.5})
     donor2 = sample_conditioned(region, ORIENT_SPEC, plan.target2, 1)
     with pytest.raises(PlanError):
@@ -379,7 +388,7 @@ def test_bounded_plan_and_verify_refuse_missing_constants(missing):
     donor2 = sample_conditioned(region, ORIENT_SPEC, plan.target2, 1)
     bad = replace(cs, **{missing: None})
     with pytest.raises(ValueError, match="nabla and constants.alpha"):
-        build_plan_bounded(f, stage1, donor1, family, bad, mu, region=region)
+        build_plan_bounded(f, stage1, donor1, family, bad, mu)
     with pytest.raises(ValueError, match="nabla and constants.alpha"):
         verify_modification_bounded(plan, f, donor1, donor2, x, bad, cap=16, mu_oracle=mu)
 
@@ -398,7 +407,7 @@ def test_verified_instance_is_a_successful_box():
         except PlanError:
             continue
         donor = sample_conditioned(region, UNB, plan.target, 31337)
-        rep, star = verify_modification_unbounded(plan, f, donor, x, cap=64, graph=graph)
+        rep, star = verify_modification_unbounded(plan, f, donor, x, cap=64)
         if not rep.all_passed:
             continue
         ok, approx = successful_box_check(box, x, star, cube, region=region, cap=64)
@@ -414,11 +423,6 @@ def test_demo_determinism():
     b = run_modification_demo_unbounded(UNB, heavy_edge_pattern(8.0), instances=2, seed=99)
     assert [i.report_text for i in a[0]] == [i.report_text for i in b[0]]
     assert a[1] == b[1]
-
-
-def _edge_tuples(edges, graph):
-    """A plan's edge set as sorted edge tuples."""
-    return sorted(edges)
 
 
 GOLDEN_PLANS = {
@@ -438,7 +442,8 @@ def test_plans_keep_their_golden_digests():
         rep, star, dstar = verify_modification_bounded(plan, f, donor1, donor2, x, cs, cap=16, mu_oracle=mu)
         sets = [stage1.e_star_plus, plan.e_star_plus, plan.e_pp, plan.e_pm, plan.e_pat]
         h.update(repr([_edge_tuples(s, graph) for s in sets]).encode())
-        h.update(repr([sorted(plan.ball0), sorted(plan.ballx), sorted(plan.anchors.items())]).encode())
+        balls = [sorted(vertex_tuples(graph.coords[ball])) for ball in (plan.ball0, plan.ballx)]
+        h.update(repr([*balls, sorted(plan.anchors.items())]).encode())
         h.update(rep.to_text().encode())
         h.update(hashlib.sha256(star.w.tobytes() + dstar.w.tobytes()).digest())
     got["bounded"] = h.hexdigest()
@@ -464,3 +469,34 @@ def test_plans_keep_their_golden_digests():
     got["unbounded"] = h.hexdigest()
     assert len(instances) == 2 and plans == 3
     assert got == GOLDEN_PLANS
+
+
+def test_plans_refuse_a_field_on_another_region():
+    # a plan's edge sets are ids of its field's graph: a field on the same
+    # box shifted by e1 has the same edge count, so only the check tells
+    family, cs, region, box, x, mu, instances = _bounded_instances(1)
+    f, gamma, stage1, donor1, plan, graph = instances[0]
+    donor2 = graph.field_from(graph.sample_weights(ORIENT_SPEC, 1, plan.target2))
+    moved = f.translate((1, 0))
+    assert len(moved.w) == len(f.w) and moved.region != f.region
+    with pytest.raises(ValueError, match="the plan indexes edges of"):
+        build_plan_bounded(moved, stage1, donor1, family, cs, mu)
+    with pytest.raises(ValueError, match="the plan indexes edges of"):
+        verify_modification_bounded(plan, moved, donor1, donor2, x, cs, cap=16)
+    cube, constants, box, x, region, graph = _demo_setup(0)
+    seed = next(s for s in range(50) if _crosses_box(graph, s, box, x))
+    f = graph.field_from(graph.sample_weights(UNB, seed), seed=seed)
+    plan = build_plan_unbounded(f, first_lex_geodesic((0, 0), x, f), box, cube, constants, nu_N=3000.0)
+    donor = graph.field_from(graph.sample_weights(UNB, 123, plan.target))
+    with pytest.raises(ValueError, match="the plan indexes edges of"):
+        verify_modification_unbounded(plan, f.translate((1, 0)), donor, x)
+
+
+def test_a_geodesic_leaving_the_field_is_refused_not_misread():
+    # the first stage reads the times of gamma's legs by edge id; on a field
+    # cut short of gamma's exit leg an id of -1 would read the last edge
+    family, cs, region, box, x, mu, instances = _bounded_instances(1)
+    f, gamma, *_ = instances[0]
+    cut = RegionGraph(ProductBox(region.lo, (200, region.hi[1])))
+    with pytest.raises(ValueError, match="lies outside"):
+        first_stage_bounded(cut.field_from(cut.weights_of(f)), gamma, box, cs)

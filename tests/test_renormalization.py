@@ -219,7 +219,7 @@ def test_typicality_bounded_matches_the_per_pair_loop():
         cs = replace(_bounded_constants_small(), epsilon=eps, alpha=alpha)
         for seed in range(3):
             f = graph.field_from(graph.sample_weights(ATOMS12, seed))
-            rep = typicality_bounded(box, f, cs, exact_norm_oracle(rate), pair_sample=12, graph4=graph)
+            rep = typicality_bounded(box, f, cs, exact_norm_oracle(rate), pair_sample=12)
             want = _bounded_reference(box, f, cs, exact_norm_oracle(rate), 12)
             assert [c.witness for c in rep.clauses] == want
             assert [c.passed for c in rep.clauses] == [not x for x in want]
@@ -233,7 +233,7 @@ def test_typicality_bounded_every_source_matches_the_per_pair_loop():
     law = DistributionSpec(atoms=((0.0, 0.2), (1.0, 0.4), (2.0, 0.4)))
     cs = replace(_bounded_constants_small(), epsilon=0.1, alpha=0.3)
     f = graph.field_from(graph.sample_weights(law, 5))
-    rep = typicality_bounded(box, f, cs, exact_norm_oracle(1.2), pair_sample=None, graph4=graph)
+    rep = typicality_bounded(box, f, cs, exact_norm_oracle(1.2), pair_sample=None)
     want = _bounded_reference(box, f, cs, exact_norm_oracle(1.2), None)
     assert all(want)
     assert [c.witness for c in rep.clauses] == want
@@ -257,10 +257,10 @@ def test_source_batches_do_not_change_the_reports(monkeypatch, per_batch):
         for seed in range(4):
             f = bgraph.field_from(bgraph.sample_weights(law, seed))
             for ps in (None, 9):
-                reports.append(typicality_bounded(bbox, f, cs, exact_norm_oracle(1.2), pair_sample=ps, graph4=bgraph))
+                reports.append(typicality_bounded(bbox, f, cs, exact_norm_oracle(1.2), pair_sample=ps))
             g = ugraph.field_from(ugraph.sample_weights(ATOMS12, seed))
             for delta in (0.0, 0.25):  # clause (ii) holds, fails
-                reports.append(typicality_unbounded(ubox, g, replace(ucs, delta=delta), r23=4.2, nu_N=1e9, graph=ugraph))
+                reports.append(typicality_unbounded(ubox, g, replace(ucs, delta=delta), r23=4.2, nu_N=1e9))
         texts.append([rep.to_text() for rep in reports])
     assert texts[0] == texts[1]
     assert any("FAIL] (i) heavy" in t for t in texts[0]) and any("pass] (ii)" in t for t in texts[0])
@@ -553,7 +553,7 @@ def test_confinement_on_typical_boxes():
     found = 0
     for seed in range(40):
         f = graph.field_from(graph.sample_weights(ATOMS12, seed))
-        rep = typicality_unbounded(box, f, cs, r23=4.2, nu_N=1e9, pair_sample=6, graph=graph)
+        rep = typicality_unbounded(box, f, cs, r23=4.2, nu_N=1e9, pair_sample=6)
         if not rep.clauses[0].passed:
             continue
         found += 1
