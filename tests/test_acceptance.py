@@ -59,6 +59,8 @@ from fppkit.renormalization import (
     typicality_unbounded,
 )
 
+from test_engine import _tight_edges
+
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 ATOMS14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))
 UNIF12 = DistributionSpec(uniforms=((1.0, 2.0, 1.0),))
@@ -122,12 +124,6 @@ def test_criterion_03_obstruction_example():
         and not validate_pattern(pat, ATOMS14).valid
     )
     report(3, ok, "unique inner optimum is the direct edge at time 4; invalid under the bounded law")
-
-
-def _tight_edges(dag):
-    """The arcs (u, v) with dist(v) = dist(u) + T({u, v}), as vertex pairs."""
-    vs = dag.graph.vertices
-    return {(vs[u], vs[v]) for v in range(dag.graph.n) for u, _ in dag.parents[v]}
 
 
 def test_criterion_04_two_route_patterns():

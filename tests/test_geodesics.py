@@ -20,6 +20,8 @@ from fppkit.lattice import L1Ball, LatticePath, ProductBox, l1
 from fppkit.oracle import exact_optimal_set, floyd_warshall_times
 from fppkit.patterns import obstruction_pattern, atom_square_pattern
 
+from test_engine import _tight_edges
+
 UNIF12 = DistributionSpec(uniforms=((1.0, 2.0, 1.0),))
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 ATOMS14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))
@@ -116,12 +118,6 @@ def test_unique_geodesic_continuous():
         gs = enumerate_geodesics((0, 0), (8, 4), f)
         unique += len(gs.paths) == 1
     assert unique >= 198  # ties have probability zero
-
-
-def _tight_edges(dag):
-    """The arcs (u, v) with dist(v) = dist(u) + T({u, v}), as vertex pairs."""
-    vs = dag.graph.vertices
-    return {(vs[u], vs[v]) for v in range(dag.graph.n) for u, _ in dag.parents[v]}
 
 
 def test_dag_soundness_and_subpath_optimality():

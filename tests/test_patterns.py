@@ -41,6 +41,8 @@ from fppkit.patterns import (
     validate_pattern,
 )
 
+from test_engine import _tight_edges
+
 ATOMS14 = DistributionSpec(atoms=((1.0, 0.5), (4.0, 0.5)))
 ATOMS12 = DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.5)))
 UNBOUNDED = DistributionSpec(atoms=((1.0, 0.5),), exp_tails=((1.0, 1.0, 0.5),))
@@ -278,12 +280,6 @@ def test_inner_optimal_paths_requires_event():
     f = constant_field(pat.region, 1.0)
     with pytest.raises(ValueError):
         inner_optimal_paths(pat, f)
-
-
-def _tight_edges(dag):
-    """The arcs (u, v) with dist(v) = dist(u) + T({u, v}), as vertex pairs."""
-    vs = dag.graph.vertices
-    return {(vs[u], vs[v]) for v in range(dag.graph.n) for u, _ in dag.parents[v]}
 
 
 def test_two_route_bounded_geometry_and_times():
